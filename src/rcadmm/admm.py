@@ -26,31 +26,19 @@ from .problem import KernelConfig, RcpProblem, kernel_initialize
 
 @dataclass
 class AdmmIterate:
-    """Post-sweep state. Matrix views of w and mu are derived on access."""
+    """Post-sweep state, with the constraint residual the dual update used."""
 
     w: np.ndarray
     mu: np.ndarray
     theta: np.ndarray
+    primal: np.ndarray
     beta: float
-    k: int
     svd: SvdTriple
     problem: RcpProblem
 
     @property
-    def z_mat(self) -> np.ndarray:
-        return self.problem.split_w(self.w)[0]
-
-    @property
     def e(self) -> np.ndarray:
         return self.problem.split_w(self.w)[1]
-
-    @property
-    def lam_mat(self) -> np.ndarray:
-        return self.problem.split_mu(self.mu)[0]
-
-    @property
-    def lam_vec(self) -> np.ndarray:
-        return self.problem.split_mu(self.mu)[1]
 
 
 @dataclass
@@ -121,19 +109,14 @@ def update_theta(
     return -problem.qfac.solve_normal(w_new + problem.y_tilde - mu / beta)
 
 
-def update_duals(
-    problem: RcpProblem,
-    w_new: np.ndarray,
-    theta_new: np.ndarray,
-    mu: np.ndarray,
-    beta: float,
-) -> np.ndarray:
-    """Gradient-ascent dual step on the stacked constraint."""
-    return mu - beta * (w_new + problem.q @ theta_new + problem.y_tilde)
+def update_duals(mu: np.ndarray, primal: np.ndarray, beta: float) -> np.ndarray:
+    """Gradient-ascent dual step on the stacked constraint residual
+    ``primal = w+ + Q theta+ + y_tilde``."""
+    return mu - beta * primal
 
 
 def admm_step(
-    problem: RcpProblem, theta: np.ndarray, mu: np.ndarray, beta: float, k: int = 0
+    problem: RcpProblem, theta: np.ndarray, mu: np.ndarray, beta: float
 ) -> AdmmIterate:
     """One full sweep from (theta, mu); w is recomputed first, so no stale
     w enters the update."""
@@ -141,9 +124,15 @@ def admm_step(
     z_new, e_new, svd = update_w(problem, theta, lam_mat, lam_vec, beta)
     w_new = problem.stack_w(z_new, e_new)
     theta_new = update_theta(problem, w_new, mu, beta)
-    mu_new = update_duals(problem, w_new, theta_new, mu, beta)
+    primal = w_new + problem.q @ theta_new + problem.y_tilde
     return AdmmIterate(
-        w=w_new, mu=mu_new, theta=theta_new, beta=beta, k=k, svd=svd, problem=problem
+        w=w_new,
+        mu=update_duals(mu, primal, beta),
+        theta=theta_new,
+        primal=primal,
+        beta=beta,
+        svd=svd,
+        problem=problem,
     )
 
 
@@ -155,8 +144,7 @@ def residuals(
     combined = beta ||eps_p||^2 + ||eps_d||^2 / beta weighs both against
     the penalty that generated them.
     """
-    eps_p = it.w + problem.q @ it.theta + problem.y_tilde
-    primal_sq = float(eps_p @ eps_p)
+    primal_sq = float(it.primal @ it.primal)
     eps_d = it.beta * (problem.q @ (it.theta - theta_prev))
     dual_sq = float(eps_d @ eps_d)
     e = it.e

@@ -10,6 +10,10 @@ The carried w block is extrapolated with the same coefficients as xi.
 The combination is affine (coefficients sum to one), which preserves the
 two sweep invariants that make the penalty diagnostics exact, so the
 self-adaptive rule remains usable at accelerated iterates.
+
+The plain iteration is the same loop with the window depth m fixed at 0
+and every step accepted, as the forced plain step from the recorded
+point after a rejection already is.
 """
 
 from collections import deque
@@ -94,8 +98,8 @@ class AndersonWindow:
     """
 
     def __init__(self, m_max):
-        if m_max < 1:
-            raise ValueError("m_max must be at least 1")
+        if m_max < 0:
+            raise ValueError("m_max must be nonnegative")
         self._g = deque(maxlen=m_max + 1)
         self._eta = deque(maxlen=m_max + 1)
         self._w = deque(maxlen=m_max + 1)
@@ -183,18 +187,17 @@ def solve(problem, config=None, init=None):
     """
     config = config or DriverConfig()
     state = init if init is not None else initial_state(problem)
-    if not config.acceleration:
-        return _solve_plain(problem, config, state)
-
     strategy = config.strategy
+    plain = not config.acceleration
     theta, mu, w = state.theta, state.mu, state.w
     xi = np.concatenate([theta, mu])
     theta_rec, mu_rec, w_rec = theta, mu, w
     beta = config.beta0
     eps_prev = np.inf
-    reset = False
+    # A plain step is always taken from the recorded point, unguarded.
+    reset = plain
     k = 0
-    window = AndersonWindow(config.m_max)
+    window = AndersonWindow(0 if plain else config.m_max)
     records = []
     states = [] if config.collect_states else None
     termination = "max_iterations"
@@ -202,7 +205,7 @@ def solve(problem, config=None, init=None):
     try:
         while True:
             theta_in, mu_in, k_in, beta_in = theta, mu, k, beta
-            step = admm_step(problem, theta, mu, beta, k)
+            step = admm_step(problem, theta, mu, beta)
             report = residuals(problem, theta, step)
             eps = report.combined
             # A non-finite residual from an extrapolated point falls
@@ -219,7 +222,7 @@ def solve(problem, config=None, init=None):
                 window.push(g, g - xi, step.w)
                 theta_rec, mu_rec, w_rec = step.theta, step.mu, step.w
                 eps_prev = eps
-                reset = False
+                reset = plain
 
                 diag = None
                 if strategy.needs_increment:
@@ -274,68 +277,6 @@ def solve(problem, config=None, init=None):
 
     return SolveResult(
         theta=theta_rec,
-        records=records,
-        termination=termination,
-        iterations=k,
-        states=states,
-    )
-
-
-def _solve_plain(problem, config, state):
-    strategy = config.strategy
-    theta, mu, w = state.theta, state.mu, state.w
-    beta = config.beta0
-    k = 0
-    records = []
-    states = [] if config.collect_states else None
-    termination = "max_iterations"
-
-    try:
-        while True:
-            step = admm_step(problem, theta, mu, beta, k)
-            report = residuals(problem, theta, step)
-            eps = report.combined
-            if not np.isfinite(eps):
-                raise NumericFailure("combined residual is not finite")
-
-            diag = None
-            if strategy.needs_increment:
-                diag = increment_diagnostics(problem, w, theta, mu, step)
-
-            if states is not None:
-                states.append(
-                    LoopState(
-                        count=k,
-                        beta=beta,
-                        theta_start=theta,
-                        mu_start=mu,
-                        step_theta=step.theta,
-                        step_mu=step.mu,
-                        step_w=step.w,
-                        eps=eps,
-                        accepted=True,
-                        alpha=None,
-                        theta_next=step.theta,
-                        mu_next=step.mu,
-                    )
-                )
-
-            theta, mu, w = step.theta, step.mu, step.w
-            beta = update_penalty(strategy, beta, report, diag)
-            k += 1
-            records.append(_record(k, report, True, _slope_value(diag)))
-
-            if k > config.k_max:
-                termination = "max_iterations"
-                break
-            if eps < config.eps_tol:
-                termination = "tolerance"
-                break
-    except (NumericFailure, np.linalg.LinAlgError):
-        termination = "numeric-failure"
-
-    return SolveResult(
-        theta=theta,
         records=records,
         termination=termination,
         iterations=k,

@@ -62,10 +62,6 @@ class SvdTriple:
     s: np.ndarray
     V: np.ndarray
 
-    @property
-    def rank_dim(self) -> int:
-        return self.s.size
-
 
 def hankel_matrix(x, dims: HankelDims) -> np.ndarray:
     """Arrange ``x`` into its Hankel matrix with ``dims.n`` columns."""
@@ -123,20 +119,6 @@ def truncated_svd_projection(a: np.ndarray, r: int) -> tuple[np.ndarray, SvdTrip
     return z, svd
 
 
-def truncation_gap_degenerate(s: np.ndarray, r: int, rtol: float = GAP_RTOL) -> bool:
-    """True when the rank-``r`` truncation is not numerically unique.
-
-    The truncation is ambiguous when sigma_r and sigma_{r+1} tie relative
-    to sigma_1 (an all-zero spectrum counts as degenerate too).
-    """
-    s = np.asarray(s, dtype=float)
-    if r == 0 or r >= s.size:
-        return False
-    if s[0] <= 0.0:
-        return True
-    return bool(s[r - 1] - s[r] < rtol * s[0])
-
-
 class QFactorization:
     """Economy QR of a full-column-rank matrix.
 
@@ -149,14 +131,15 @@ class QFactorization:
         q = np.asarray(q, dtype=float)
         if q.ndim != 2 or q.shape[0] < q.shape[1]:
             raise ValueError(f"expected a tall matrix, got shape {q.shape}")
-        sv = np.linalg.svd(q, compute_uv=False)
+        self.orth, self.r_factor = scipy.linalg.qr(q, mode="economic")
+        # Q = orth @ R with orthonormal columns, so R has Q's singular values.
+        sv = np.linalg.svd(self.r_factor, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] < rtol * sv[0]:
             raise IllConditionedError(
                 f"matrix is numerically rank deficient: sigma_min/sigma_max = "
                 f"{sv[-1] / sv[0] if sv[0] > 0 else 0.0:.3e}"
             )
         self.q = q
-        self.orth, self.r_factor = scipy.linalg.qr(q, mode="economic")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -169,14 +152,3 @@ class QFactorization:
     def apply_projector(self, v: np.ndarray) -> np.ndarray:
         """``P v`` for the orthogonal-complement projector of range(Q)."""
         return v - self.orth @ (self.orth.T @ v)
-
-    def projector(self) -> np.ndarray:
-        """Explicit ``P`` as a dense symmetric matrix (diagnostic use)."""
-        p = -self.orth @ self.orth.T
-        p[np.diag_indices_from(p)] += 1.0
-        return p
-
-
-def projector_matrix(q: np.ndarray) -> np.ndarray:
-    """Orthogonal-complement projector of range(Q) as a dense matrix."""
-    return QFactorization(q).projector()

@@ -49,18 +49,36 @@ class IncrementDiagnostics:
     terms: dict
 
 
-def lagrangian_increment(problem, w_prev, theta_prev, mu_prev, w_new, beta):
+def _increment_parts(problem, w_prev, theta_prev, w_new):
+    """Vectors shared by the increment and its slope, formed once per sweep.
+
+    Returns ``(c_prev, step, p_step, p_feas)``: the incoming constraint
+    residual ``w + Q theta + y_tilde``, the w step ``w+ - w`` and the
+    projections ``P(w+ - w)`` and ``P(w+ + y_tilde)``.
+    """
+    step = w_new - w_prev
+    return (
+        w_prev + problem.q @ theta_prev + problem.y_tilde,
+        step,
+        problem.qfac.apply_projector(step),
+        problem.qfac.apply_projector(w_new + problem.y_tilde),
+    )
+
+
+def lagrangian_increment(
+    problem, w_prev, theta_prev, mu_prev, w_new, beta, parts=None
+):
     """Full-sweep Lagrangian increment with theta+ and mu+ eliminated.
 
     Equals L(w+, theta+, mu+) - L(w, theta, mu) whenever the incoming
     iterate satisfies the sweep invariants (dual orthogonal to Q, theta
     the normal-equations image of w); it is a well-defined expression in
-    any case.  Returns (value, terms).
+    any case.  ``parts`` is ``_increment_parts`` of the same arguments,
+    formed here when not given.  Returns (value, terms).
     """
-    c_prev = w_prev + problem.q @ theta_prev + problem.y_tilde
-    step = w_new - w_prev
-    p_step = problem.qfac.apply_projector(step)
-    p_feas = problem.qfac.apply_projector(w_new + problem.y_tilde)
+    if parts is None:
+        parts = _increment_parts(problem, w_prev, theta_prev, w_new)
+    c_prev, step, p_step, p_feas = parts
     _, e_prev = problem.split_w(w_prev)
     _, e_new = problem.split_w(w_new)
     objective = float(e_new @ e_new - e_prev @ e_prev)
@@ -70,17 +88,18 @@ def lagrangian_increment(problem, w_prev, theta_prev, mu_prev, w_new, beta):
     return objective + linear + quadratic, terms
 
 
-def increment_slope(problem, w_prev, theta_prev, mu_prev, w_new, dw, beta):
+def increment_slope(
+    problem, w_prev, theta_prev, mu_prev, w_new, dw, beta, parts=None
+):
     """Total derivative of the eliminated increment with respect to beta.
 
     ``dw`` is the stacked derivative of the w-sweep output at fixed
     (theta, mu); the remaining terms are the explicit beta-dependence of
-    the increment.
+    the increment.  ``parts`` is as in ``lagrangian_increment``.
     """
-    c_prev = w_prev + problem.q @ theta_prev + problem.y_tilde
-    step = w_new - w_prev
-    p_step = problem.qfac.apply_projector(step)
-    p_feas = problem.qfac.apply_projector(w_new + problem.y_tilde)
+    if parts is None:
+        parts = _increment_parts(problem, w_prev, theta_prev, w_new)
+    c_prev, step, p_step, p_feas = parts
     _, e_new = problem.split_w(w_new)
 
     bracket = -mu_prev + beta * (
@@ -104,8 +123,9 @@ def increment_diagnostics(problem, w_prev, theta_prev, mu_prev, iterate):
     at ``iterate.beta``.  A degenerate spectrum in the sweep's SVD makes
     the slope unavailable; the increment value itself is always defined.
     """
+    parts = _increment_parts(problem, w_prev, theta_prev, iterate.w)
     value, terms = lagrangian_increment(
-        problem, w_prev, theta_prev, mu_prev, iterate.w, iterate.beta
+        problem, w_prev, theta_prev, mu_prev, iterate.w, iterate.beta, parts
     )
     lam_mat, _ = problem.split_mu(mu_prev)
     try:
@@ -115,7 +135,7 @@ def increment_diagnostics(problem, w_prev, theta_prev, mu_prev, iterate):
     except SensitivityUnavailable:
         return IncrementDiagnostics(value, None, terms)
     slope = increment_slope(
-        problem, w_prev, theta_prev, mu_prev, iterate.w, dw, iterate.beta
+        problem, w_prev, theta_prev, mu_prev, iterate.w, dw, iterate.beta, parts
     )
     return IncrementDiagnostics(value, slope, terms)
 

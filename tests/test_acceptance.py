@@ -181,7 +181,7 @@ def test_criterion_01_increment_slope(bench_problems):
         theta, mu, w = init.theta, init.mu, init.w
         beta = 1.0
         for k in range(60):
-            step = admm_step(problem, theta, mu, beta, k)
+            step = admm_step(problem, theta, mu, beta)
             diag = increment_diagnostics(problem, w, theta, mu, step)
             samples.append((problem, w, theta, mu, beta, diag))
             report = residuals(problem, theta, step)
@@ -511,7 +511,7 @@ def reference_plain_loop(problem, config):
     k = 0
     rows = []
     while True:
-        step = admm_step(problem, theta, mu, beta, k)
+        step = admm_step(problem, theta, mu, beta)
         report = residuals(problem, theta, step)
         diag = None
         if config.strategy.needs_increment:

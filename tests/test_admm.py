@@ -147,14 +147,16 @@ class TestDualsAndStep:
         theta = rng.normal(size=prob.l)
         mu = rng.normal(size=prob.w_size)
         w = -prob.q @ theta - prob.y_tilde
-        np.testing.assert_allclose(update_duals(prob, w, theta, mu, 3.0), mu, atol=1e-13)
+        primal = w + prob.q @ theta + prob.y_tilde
+        np.testing.assert_allclose(update_duals(mu, primal, 3.0), mu, atol=1e-13)
 
     def test_dual_arithmetic(self):
         prob, rng = small_problem(10)
         theta, mu, beta = random_iterate(prob, rng)
         w = rng.normal(size=prob.w_size)
+        primal = w + prob.q @ theta + prob.y_tilde
         expected = mu - beta * (w + prob.q @ theta + prob.y_tilde)
-        np.testing.assert_array_equal(update_duals(prob, w, theta, mu, beta), expected)
+        np.testing.assert_array_equal(update_duals(mu, primal, beta), expected)
 
     def test_dual_orthogonality_after_one_step(self):
         # Q' mu vanishes after any dual update, even from arbitrary duals.
@@ -183,10 +185,12 @@ class TestDualsAndStep:
         z_new, e_new, _ = update_w(prob, theta, lam_mat, lam_vec, beta)
         w_new = prob.stack_w(z_new, e_new)
         theta_new = update_theta(prob, w_new, mu, beta)
-        mu_new = update_duals(prob, w_new, theta_new, mu, beta)
+        primal = w_new + prob.q @ theta_new + prob.y_tilde
+        mu_new = update_duals(mu, primal, beta)
         it = admm_step(prob, theta, mu, beta)
         np.testing.assert_array_equal(it.w, w_new)
         np.testing.assert_array_equal(it.theta, theta_new)
+        np.testing.assert_array_equal(it.primal, primal)
         np.testing.assert_array_equal(it.mu, mu_new)
 
     def test_step_deterministic(self):

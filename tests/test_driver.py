@@ -155,7 +155,7 @@ def reference_plain_loop(problem, config):
     k = 0
     rows = []
     while True:
-        step = admm_step(problem, theta, mu, beta, k)
+        step = admm_step(problem, theta, mu, beta)
         report = residuals(problem, theta, step)
         diag = None
         if config.strategy.needs_increment:
@@ -173,23 +173,36 @@ def reference_plain_loop(problem, config):
 class TestSolve:
     def test_acceleration_off_is_bitwise_plain(self):
         for strategy in (ConstantPenalty(), SelfAdaptivePenalty()):
-            prob = small_problem(7)
-            config = DriverConfig(
-                beta0=1.0, strategy=strategy, k_max=40, acceleration=False
-            )
-            result = solve(prob, config)
-            theta_ref, rows = reference_plain_loop(prob, config)
-            np.testing.assert_array_equal(result.theta, theta_ref)
-            assert len(result.records) == len(rows)
-            for record, row in zip(result.records, rows):
-                assert (
-                    record.iteration,
-                    record.beta,
-                    record.primal_sq,
-                    record.dual_sq,
-                    record.combined,
-                ) == row
-                assert record.accepted
+            for collect in (False, True):
+                prob = small_problem(7)
+                config = DriverConfig(
+                    beta0=1.0, strategy=strategy, k_max=40, acceleration=False,
+                    collect_states=collect,
+                )
+                result = solve(prob, config)
+                theta_ref, rows = reference_plain_loop(prob, config)
+                np.testing.assert_array_equal(result.theta, theta_ref)
+                assert len(result.records) == len(rows)
+                for record, row in zip(result.records, rows):
+                    assert (
+                        record.iteration,
+                        record.beta,
+                        record.primal_sq,
+                        record.dual_sq,
+                        record.combined,
+                    ) == row
+                    assert record.accepted
+                if not collect:
+                    assert result.states is None
+                    continue
+                # Every plain step is an unextrapolated, accepted step.
+                assert len(result.states) == len(result.records)
+                for st, record in zip(result.states, result.records):
+                    assert st.accepted
+                    assert st.alpha is None
+                    assert st.count == record.iteration - 1
+                    np.testing.assert_array_equal(st.theta_next, st.step_theta)
+                    np.testing.assert_array_equal(st.mu_next, st.step_mu)
 
     def test_epsilon_decreases_at_every_tested_acceptance(self):
         # The acceptance test guarantees strict decrease everywhere except
@@ -344,6 +357,24 @@ class TestSolve:
         result = solve(prob, DriverConfig(beta0=1.0, k_max=20), init=bad)
         assert result.termination == "numeric-failure"
         assert isinstance(result.records, list)
+        np.testing.assert_array_equal(result.theta, bad.theta)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_plain_numeric_failure_stops_at_once(self):
+        # Without acceleration there is no recorded point to back off to,
+        # so the first non-finite residual ends the run before any record.
+        prob = small_problem(5)
+        state = initial_state(prob)
+        bad = InitialState(
+            theta=np.full(prob.l, 1e200), w=state.w, mu=state.mu
+        )
+        result = solve(
+            prob, DriverConfig(beta0=1.0, k_max=20, acceleration=False), init=bad
+        )
+        assert result.termination == "numeric-failure"
+        assert result.records == []
+        assert result.iterations == 0
         np.testing.assert_array_equal(result.theta, bad.theta)
 
     def test_window_depth_grows_with_k(self):

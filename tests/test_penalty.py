@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import rcadmm.driver as driver
 from rcadmm.admm import admm_step, augmented_lagrangian, initial_state, residuals, update_w
 from rcadmm.penalty import (
     BETA_MAX,
@@ -16,6 +19,7 @@ from rcadmm.penalty import (
     update_penalty,
 )
 from rcadmm.problem import RegressionData, assemble_problem
+from rcadmm.svd_calc import w_derivative
 
 
 def small_problem(seed=0, n_samples=25, l=9, n=4, r=2):
@@ -39,10 +43,10 @@ def step_pair(problem, sweeps, beta):
     """State after `sweeps` plain sweeps plus the iterate produced from it."""
     state = initial_state(problem)
     w, theta, mu = state.w, state.theta, state.mu
-    for k in range(sweeps):
-        it = admm_step(problem, theta, mu, beta, k)
+    for _ in range(sweeps):
+        it = admm_step(problem, theta, mu, beta)
         w, theta, mu = it.w, it.theta, it.mu
-    return w, theta, mu, admm_step(problem, theta, mu, beta, sweeps)
+    return w, theta, mu, admm_step(problem, theta, mu, beta)
 
 
 def replay_increment(problem, w, theta, mu, beta):
@@ -238,3 +242,87 @@ class TestIncrement:
         report = residuals(prob, theta, it)
         new_beta = update_penalty(SelfAdaptivePenalty(), 1.2, report, diag)
         assert new_beta in (1.2 * 1.05, 1.2, 1.2 / 1.02)
+
+    def test_diagnostics_match_standalone_along_accelerated_run(self, monkeypatch):
+        # The shared vectors formed once per sweep must not change a bit of
+        # the value or slope, extrapolated points included.
+        calls = []
+
+        def recording(problem, w, theta, mu, it):
+            diag = increment_diagnostics(problem, w, theta, mu, it)
+            calls.append((problem, w, theta, mu, it, diag))
+            return diag
+
+        monkeypatch.setattr(driver, "increment_diagnostics", recording)
+        result = driver.solve(
+            small_problem(3),
+            driver.DriverConfig(
+                beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60,
+                collect_states=True,
+            ),
+        )
+        accepted = [st for st in result.states if st.accepted]
+        assert len(accepted) == len(calls)
+        sloped = 0
+        for st, (problem, w, theta, mu, it, diag) in zip(accepted, calls):
+            np.testing.assert_array_equal(theta, st.theta_start)
+            value, _ = lagrangian_increment(problem, w, theta, mu, it.w, it.beta)
+            assert value == diag.delta_l
+            if diag.slope is not None:
+                lam_mat, _ = problem.split_mu(mu)
+                dw = w_derivative(problem, theta, lam_mat, it.beta, it.svd, it.e)
+                slope = increment_slope(problem, w, theta, mu, it.w, dw, it.beta)
+                assert slope == diag.slope
+                sloped += 1
+        extrapolated = sum(
+            1
+            for prev, st in zip(result.states, result.states[1:])
+            if st.accepted and prev.accepted and prev.alpha is not None
+        )
+        assert extrapolated >= 5
+        assert sloped >= 30
+
+    def test_projector_applied_three_times_per_increment(self, monkeypatch):
+        prob = small_problem(11)
+        original = prob.qfac.apply_projector
+        count = [0]
+
+        def counting(v):
+            count[0] += 1
+            return original(v)
+
+        monkeypatch.setattr(prob.qfac, "apply_projector", counting)
+        w, theta, mu, it = step_pair(prob, 1, 1.2)
+        for _ in range(10):
+            count[0] = 0
+            diag = increment_diagnostics(prob, w, theta, mu, it)
+            assert diag.slope is not None
+            assert count[0] == 3
+            w, theta, mu = it.w, it.theta, it.mu
+            it = admm_step(prob, theta, mu, 1.2)
+
+    def test_dense_q_products_per_iteration(self):
+        # Sweep, residuals and increment multiply by the dense Q three times:
+        # Q theta+ for the constraint residual, Q (theta+ - theta) for the
+        # dual residual and Q theta for the incoming constraint residual.
+        class CountingMatrix(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                CountingMatrix.products += 1
+                return np.asarray(self) @ other
+
+        prob = small_problem(11)
+        counted = replace(prob, q=prob.q.view(CountingMatrix))
+        state = initial_state(prob)
+        w, theta, mu = state.w, state.theta, state.mu
+        for _ in range(5):
+            CountingMatrix.products = 0
+            it = admm_step(counted, theta, mu, 1.2)
+            report = residuals(counted, theta, it)
+            increment_diagnostics(counted, w, theta, mu, it)
+            assert CountingMatrix.products == 3
+            reference = admm_step(prob, theta, mu, 1.2)
+            np.testing.assert_array_equal(it.mu, reference.mu)
+            assert report == residuals(prob, theta, reference)
+            w, theta, mu = it.w, it.theta, it.mu

@@ -20,6 +20,7 @@ from .problem import assemble_problem
 from .serialize import (
     _require,
     _section,
+    _settings,
     cells_from_config,
     driver_config_from,
     load_json,
@@ -45,10 +46,6 @@ def _safe_name(name):
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
 
 
-def _final_accepted(records):
-    return next((rec for rec in reversed(records) if rec.accepted), None)
-
-
 def cmd_solve(args):
     cfg = load_json(args.config)
     scenario = scenario_from_config(cfg, seed=args.seed)
@@ -64,7 +61,7 @@ def cmd_solve(args):
     out = _out_dir(args)
     trace_path = os.path.join(out, "trace.csv")
     write_trace_csv(trace_path, result.records, run_id=scenario.seed)
-    final = _final_accepted(result.records)
+    final = result.final
     summary = {
         "termination": result.termination,
         "iterations": result.iterations,
@@ -95,8 +92,7 @@ def cmd_bench(args):
     scenario = scenario_from_config(spec)
     l, n, r = problem_dims_from_config(spec)
     cells = cells_from_config(spec)
-    runs = int(_require(spec, "runs", ""))
-    base_seed = int(spec.get("base_seed", 0))
+    runs = _require(spec, "runs", "")
 
     names = {_safe_name(cell.name) for cell in cells}
     if len(names) != len(cells):
@@ -110,8 +106,8 @@ def cmd_bench(args):
         l=l,
         n=n,
         r=r,
-        base_seed=base_seed,
         jobs=args.jobs,
+        **_settings(spec, ("base_seed",), ""),
     )
 
     report = {}

@@ -88,6 +88,11 @@ class SolveResult:
     iterations: int
     states: list | None = field(default=None, repr=False)
 
+    @property
+    def final(self):
+        """The last accepted record, or None when no step was accepted."""
+        return next((rec for rec in reversed(self.records) if rec.accepted), None)
+
 
 class AndersonWindow:
     """Ring buffer of the most recent plain-step outputs.

@@ -139,11 +139,6 @@ class QFactorization:
                 f"matrix is numerically rank deficient: sigma_min/sigma_max = "
                 f"{sv[-1] / sv[0] if sv[0] > 0 else 0.0:.3e}"
             )
-        self.q = q
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.q.shape
 
     def solve_normal(self, v: np.ndarray) -> np.ndarray:
         """Least-squares coefficients ``(Q^T Q)^{-1} Q^T v``."""

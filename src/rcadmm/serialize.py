@@ -3,10 +3,14 @@
 Floats are written with repr() so values round-trip exactly and reruns
 can be compared byte for byte.  The trace schema is fixed: changing it
 breaks downstream plotting, so the header is asserted in tests.
+
+JSON configs: absent keys take the defaults of DriverConfig, the strategy
+classes and default_scenario(); a bad value raises ConfigError naming it.
 """
 
 import csv
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from .penalty import (
     ResidualBasedPenalty,
     SelfAdaptivePenalty,
 )
-from .simulate import BenchmarkScenario, ExperimentCell, RelayConfig, SotdPlant
+from .simulate import ExperimentCell, default_scenario
 
 TRACE_HEADER = [
     "run_id",
@@ -141,108 +145,115 @@ def write_json(path, obj):
 def load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
+
+
+# Keys whose JSON type the constructors would not catch: a float or a
+# boolean passes as a count, and any non-empty string passes as a switch.
+INTEGER_KEYS = {"k_max", "m_max", "runs", "base_seed", "seed", "l", "n", "rank"}
+BOOLEAN_KEYS = {"acceleration"}
+
+# The keys each section reads; every field of a strategy is a key.
+SOLVER_KEYS = ("beta0", "eps_tol", "k_max", "m_max", "acceleration")
+SCENARIO_KEYS = ("duration", "dt", "noise_var", "fine_step", "seed")
+PLANT_KEYS = ("num", "den", "delay")
+RELAY_KEYS = ("amplitude", "hysteresis")
+STRATEGIES = {
+    "constant": ConstantPenalty,
+    "multiplicative": MultiplicativePenalty,
+    "residual": ResidualBasedPenalty,
+    "self-adaptive": SelfAdaptivePenalty,
+}
+
+
+def _label(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _value(section, key, path):
+    """section[key], type-checked for typed keys; JSON arrays become tuples."""
+    value = section[key]
+    if key in INTEGER_KEYS and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{_label(path, key)} must be an integer: got {value!r}")
+    if key in BOOLEAN_KEYS and not isinstance(value, bool):
+        raise ConfigError(f"{_label(path, key)} must be true or false: got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _require(section, key, path):
     if key not in section:
-        label = f"{path}.{key}" if path else key
-        raise ConfigError(f"missing key: {label}")
-    return section[key]
+        raise ConfigError(f"missing key: {_label(path, key)}")
+    return _value(section, key, path)
 
 
-def _section(cfg, key, default=None):
-    value = cfg.get(key, default if default is not None else {})
+def _section(cfg, key):
+    value = cfg.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"section {key} must be an object")
     return value
 
 
-STRATEGY_NAMES = ("constant", "multiplicative", "residual", "self-adaptive")
+def _settings(section, keys, path):
+    return {key: _value(section, key, path) for key in keys if key in section}
+
+
+def _build(default, section, keys, path, **fixed):
+    """`default` with the keys present in section, then `fixed`, replaced.
+
+    Absent keys keep the defaults of the type built; a value it rejects
+    becomes a ConfigError naming path.
+    """
+    settings = {**_settings(section, keys, path), **fixed}
+    try:
+        return replace(default, **settings)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {path} settings: {exc}") from exc
 
 
 def strategy_from_config(solver, path="solver"):
     name = _require(solver, "strategy", path)
-    if name == "constant":
-        return ConstantPenalty()
-    if name == "multiplicative":
-        return MultiplicativePenalty(
-            rho=solver.get("rho", 1.01),
-            beta_max=solver.get("beta_max", 100.0),
+    cls = STRATEGIES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ConfigError(
+            f"{path}.strategy must be one of {', '.join(STRATEGIES)}: got {name!r}"
         )
-    if name == "residual":
-        return ResidualBasedPenalty(
-            kappa=solver.get("kappa", 10.0),
-            rho_inc=solver.get("rho_inc", 1.02),
-            rho_dec=solver.get("rho_dec", 1.02),
-        )
-    if name == "self-adaptive":
-        return SelfAdaptivePenalty(
-            rho_inc=solver.get("rho_inc", 1.05),
-            rho_dec=solver.get("rho_dec", 1.02),
-        )
-    raise ConfigError(
-        f"{path}.strategy must be one of {', '.join(STRATEGY_NAMES)}: got {name!r}"
-    )
+    return _build(cls(), solver, [f.name for f in fields(cls)], path)
 
 
 def driver_config_from(solver, path="solver"):
-    try:
-        return DriverConfig(
-            beta0=solver.get("beta0", 1.0),
-            strategy=strategy_from_config(solver, path),
-            eps_tol=solver.get("eps_tol", 1e-10),
-            k_max=solver.get("k_max", 500),
-            m_max=solver.get("m_max", 5),
-            acceleration=solver.get("acceleration", True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {path} settings: {exc}") from exc
+    strategy = strategy_from_config(solver, path)
+    return _build(DriverConfig(), solver, SOLVER_KEYS, path, strategy=strategy)
 
 
 def scenario_from_config(cfg, seed=None):
     section = _section(cfg, "scenario")
-    plant_cfg = _section(section, "plant")
-    relay_cfg = _section(section, "relay")
-    try:
-        plant = SotdPlant(
-            num=tuple(plant_cfg.get("num", (0.2, 1.0))),
-            den=tuple(plant_cfg.get("den", (1.5, 0.6, 1.0))),
-            delay=plant_cfg.get("delay", 3.0),
-        )
-        relay = RelayConfig(
-            amplitude=relay_cfg.get("amplitude", 1.0),
-            hysteresis=relay_cfg.get("hysteresis", 0.01),
-        )
-        return BenchmarkScenario(
-            plant=plant,
-            duration=section.get("duration", 50.0),
-            dt=section.get("dt", 0.5),
-            noise_var=section.get("noise_var", 0.01),
-            relay=relay,
-            fine_step=section.get("fine_step", 0.01),
-            seed=seed if seed is not None else section.get("seed", 0),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid scenario settings: {exc}") from exc
+    base = default_scenario()
+    plant = _build(base.plant, _section(section, "plant"), PLANT_KEYS, "scenario.plant")
+    relay = _build(base.relay, _section(section, "relay"), RELAY_KEYS, "scenario.relay")
+    fixed = {"plant": plant, "relay": relay}
+    if seed is not None:
+        fixed["seed"] = seed
+    return _build(base, section, SCENARIO_KEYS, "scenario", **fixed)
 
 
 def problem_dims_from_config(cfg):
     section = _section(cfg, "problem")
-    l = _require(section, "l", "problem")
-    n = _require(section, "n", "problem")
-    r = _require(section, "rank", "problem")
-    return int(l), int(n), int(r)
+    return tuple(_require(section, key, "problem") for key in ("l", "n", "rank"))
 
 
 def cells_from_config(cfg, path="cells"):
     raw = cfg.get("cells")
     if not raw:
         raise ConfigError(f"missing key: {path}")
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise ConfigError(f"{path} must be a list of objects")
     cells = []
     for idx, entry in enumerate(raw):
         name = _require(entry, "name", f"{path}[{idx}]")

@@ -14,17 +14,26 @@ truncations of the exact discretization, which is what the loop applies.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.signal import tf2ss
 from scipy.linalg import expm
 
 from .admm import initial_state
-from .driver import DriverConfig, solve
-from .errors import NumericFailure
+from .driver import DriverConfig, SolveResult, solve
+from .errors import IllConditionedError, NumericFailure, SensitivityUnavailable
 from .problem import RegressionData, assemble_problem
 
 STATE_NORM_LIMIT = 1e12
+
+# What a solve raises on bad numbers; anything else is a bug and propagates.
+SOLVE_ERRORS = (
+    IllConditionedError,
+    NumericFailure,
+    SensitivityUnavailable,
+    np.linalg.LinAlgError,
+)
 
 
 @dataclass(frozen=True)
@@ -294,7 +303,7 @@ def _accumulate(avg, records):
         avg.counts[j] += 1
 
 
-def _run_cells(scn, cells, run, base_seed, l, n, r, theta_true):
+def _run_cells(scn, cells, base_seed, l, n, r, theta_true, run):
     """One Monte Carlo run: shared data, one solve per cell."""
     sim = simulate_relay(replace(scn, seed=base_seed + run))
     problem = assemble_problem(sim.data, l=l, n=n, r=r)
@@ -304,37 +313,25 @@ def _run_cells(scn, cells, run, base_seed, l, n, r, theta_true):
     for cell in cells:
         try:
             result = solve(problem, cell.config, init=init)
-            final = next(
-                (rec for rec in reversed(result.records) if rec.accepted), None
+        except SOLVE_ERRORS:
+            # Counted as an "error" run with no trace and no estimate.
+            result = SolveResult(
+                theta=np.full(l, np.nan), records=[], termination="error", iterations=0
             )
-            error = float(np.linalg.norm(result.theta - theta_true)) / scale
-            summary = RunSummary(
-                run=run,
-                cell=cell.name,
-                iterations=result.iterations,
-                termination=result.termination,
-                final_primal_sq=final.primal_sq if final else float("nan"),
-                final_dual_sq=final.dual_sq if final else float("nan"),
-                final_combined=final.combined if final else float("nan"),
-                final_beta=final.beta if final else float("nan"),
-                final_objective=final.objective if final else float("nan"),
-                theta_error=error,
-            )
-            out.append((cell.name, summary, result.records))
-        except Exception:
-            summary = RunSummary(
-                run=run,
-                cell=cell.name,
-                iterations=0,
-                termination="error",
-                final_primal_sq=float("nan"),
-                final_dual_sq=float("nan"),
-                final_combined=float("nan"),
-                final_beta=float("nan"),
-                final_objective=float("nan"),
-                theta_error=float("nan"),
-            )
-            out.append((cell.name, summary, []))
+        final = result.final
+        summary = RunSummary(
+            run=run,
+            cell=cell.name,
+            iterations=result.iterations,
+            termination=result.termination,
+            final_primal_sq=final.primal_sq if final else np.nan,
+            final_dual_sq=final.dual_sq if final else np.nan,
+            final_combined=final.combined if final else np.nan,
+            final_beta=final.beta if final else np.nan,
+            final_objective=final.objective if final else np.nan,
+            theta_error=float(np.linalg.norm(result.theta - theta_true)) / scale,
+        )
+        out.append((cell.name, summary, result.records))
     return out
 
 
@@ -369,28 +366,14 @@ def monte_carlo(
     summaries = []
     traces = {} if keep_traces else None
 
+    job = partial(_run_cells, scn, cells, base_seed, l, n, r, theta_true)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(
-                pool.map(
-                    _run_cells,
-                    [scn] * runs,
-                    [cells] * runs,
-                    range(runs),
-                    [base_seed] * runs,
-                    [l] * runs,
-                    [n] * runs,
-                    [r] * runs,
-                    [theta_true] * runs,
-                )
-            )
+            batches = list(pool.map(job, range(runs)))
     else:
-        batches = [
-            _run_cells(scn, cells, run, base_seed, l, n, r, theta_true)
-            for run in range(runs)
-        ]
+        batches = [job(run) for run in range(runs)]
 
     for batch in batches:
         for name, summary, records in batch:

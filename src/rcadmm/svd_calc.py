@@ -35,11 +35,6 @@ def spectrum_degenerate(s: np.ndarray, rtol: float = GAP_RTOL) -> bool:
     return bool(np.min(s[:-1] - s[1:]) < rtol * s[0])
 
 
-def theta_matrix(svd: SvdTriple, lam_mat: np.ndarray, beta: float) -> np.ndarray:
-    """Rotated perturbation U' dOmega V = -(1/beta^2) U' Lam V."""
-    return -(svd.U.T @ lam_mat @ svd.V) / beta**2
-
-
 def gain_matrix(s: np.ndarray) -> tuple[np.ndarray, bool]:
     """Off-diagonal gains 1 / (s_j^2 - s_i^2); zero diagonal.
 

@@ -75,6 +75,31 @@ class TestSolveCommand:
         assert rc == 1
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("solver", "beta0", "1"),
+            ("solver", "rho_inc", "1.1"),
+            ("solver", "m_max", None),
+            ("problem", "l", None),
+        ],
+    )
+    def test_mistyped_value_exits_1(self, tmp_path, capsys, section, key, value):
+        cfg = json.loads(open(solve_config(tmp_path)).read())
+        cfg[section][key] = value
+        path = write_config(tmp_path / "typo.json", cfg)
+        rc = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_non_object_config_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path / "list.json", [TINY_PROBLEM])
+        rc = main(["solve", "--config", path, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_seed_override_is_byte_identical(self, tmp_path):
         cfg = solve_config(tmp_path)
         outs = []
@@ -174,6 +199,18 @@ class TestBenchCommand:
         rc = main(["bench", "--spec", path, "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("runs", None), ("runs", 2.5), ("base_seed", "11"), ("base_seed", True)]
+    )
+    def test_study_counts_must_be_integers(self, tmp_path, capsys, key, value):
+        spec = json.loads(open(bench_spec(tmp_path)).read())
+        spec[key] = value
+        path = write_config(tmp_path / "typo.json", spec)
+        rc = main(["bench", "--spec", path, "--jobs", "1", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {key} must be an integer")
 
 
 class TestSimulateCommand:

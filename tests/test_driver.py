@@ -376,6 +376,19 @@ class TestSolve:
         assert result.records == []
         assert result.iterations == 0
         np.testing.assert_array_equal(result.theta, bad.theta)
+        assert result.final is None
+
+    def test_final_is_last_accepted_record(self):
+        result = solve(
+            small_problem(6),
+            DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60),
+        )
+        accepted = [rec for rec in result.records if rec.accepted]
+        assert result.final is accepted[-1]
+        # A trace cut just after a rejection ends on the accepted row before it.
+        cut = next(i for i, rec in enumerate(result.records) if not rec.accepted)
+        head = SolveResult(result.theta, result.records[: cut + 1], "max_iterations", 0)
+        assert head.final is result.records[cut - 1]
 
     def test_window_depth_grows_with_k(self):
         result = solve(

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rcadmm.driver import IterationRecord
+from rcadmm.driver import DriverConfig, IterationRecord
 from rcadmm.errors import ConfigError
 from rcadmm.penalty import (
     ConstantPenalty,
@@ -15,6 +15,7 @@ from rcadmm.penalty import (
 )
 from rcadmm.serialize import (
     AVERAGES_HEADER,
+    STRATEGIES,
     TRACE_HEADER,
     cells_from_config,
     driver_config_from,
@@ -136,12 +137,27 @@ class TestStrategyConfig:
             driver_config_from({"strategy": "constant", "k_max": 0})
 
     def test_defaults_fill_in(self):
-        cfg = driver_config_from({"strategy": "constant"})
-        assert cfg.beta0 == 1.0
-        assert cfg.eps_tol == 1e-10
-        assert cfg.k_max == 500
-        assert cfg.m_max == 5
-        assert cfg.acceleration is True
+        assert driver_config_from({"strategy": "constant"}) == DriverConfig()
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_absent_keys_take_class_defaults(self, name):
+        assert strategy_from_config({"strategy": name}) == STRATEGIES[name]()
+
+    def test_unknown_keys_ignored(self):
+        solver = {"strategy": "constant", "collect_states": True, "colour": "red"}
+        assert driver_config_from(solver) == DriverConfig()
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_acceleration_must_be_boolean(self, value):
+        with pytest.raises(ConfigError, match="solver.acceleration"):
+            driver_config_from({"strategy": "constant", "acceleration": value})
+
+    @pytest.mark.parametrize(
+        "key, value", [("k_max", 2.5), ("k_max", "50"), ("m_max", True), ("m_max", 5.0)]
+    )
+    def test_counts_must_be_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"solver.{key}"):
+            driver_config_from({"strategy": "constant", key: value})
 
 
 class TestScenarioConfig:
@@ -172,11 +188,31 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             scenario_from_config({"scenario": {"duration": -1.0}})
 
+    def test_plant_arrays_become_tuples(self):
+        scn = scenario_from_config({"scenario": {"plant": {"num": [0.3, 1.0]}}})
+        assert scn.plant.num == (0.3, 1.0)
+        assert scn.plant.den == default_scenario().plant.den
+        with pytest.raises(ConfigError, match="scenario.plant"):
+            scenario_from_config({"scenario": {"plant": {"den": None}}})
+
+    @pytest.mark.parametrize("value", [1.5, "4", False])
+    def test_seed_must_be_integer(self, value):
+        with pytest.raises(ConfigError, match="scenario.seed"):
+            scenario_from_config({"scenario": {"seed": value}})
+
 
 class TestProblemAndCells:
     def test_missing_rank_names_key(self):
         with pytest.raises(ConfigError, match="problem.rank"):
             problem_dims_from_config({"problem": {"l": 60, "n": 20}})
+
+    @pytest.mark.parametrize(
+        "key, value", [("rank", 7.9), ("l", None), ("n", "20"), ("rank", True)]
+    )
+    def test_dims_must_be_integers(self, key, value):
+        section = {"l": 60, "n": 20, "rank": 8, key: value}
+        with pytest.raises(ConfigError, match=f"problem.{key}"):
+            problem_dims_from_config({"problem": section})
 
     def test_dims_parsed(self):
         assert problem_dims_from_config(
@@ -188,6 +224,11 @@ class TestProblemAndCells:
             cells_from_config({})
         with pytest.raises(ConfigError, match=r"cells\[0\].name"):
             cells_from_config({"cells": [{"solver": {"strategy": "constant"}}]})
+
+    @pytest.mark.parametrize("raw", [5, True, {"name": "a"}, [5], ["name"]])
+    def test_cells_must_be_list_of_objects(self, raw):
+        with pytest.raises(ConfigError, match="list of objects"):
+            cells_from_config({"cells": raw})
 
     def test_duplicate_cell_names(self):
         cell = {"name": "a", "solver": {"strategy": "constant"}}

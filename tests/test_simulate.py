@@ -254,6 +254,15 @@ class TestMonteCarlo:
         total = sum(avg.failures for avg in out.cells.values())
         assert total == 1
 
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # Only numeric failures count as "error" runs; a bug is not one.
+        def broken(problem, config, init=None):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("rcadmm.simulate.solve", broken)
+        with pytest.raises(TypeError, match="bug"):
+            monte_carlo(tiny_scenario(), tiny_cells(), runs=1, **TINY)
+
     def test_duplicate_cell_names_rejected(self):
         cells = [tiny_cells()[0], tiny_cells()[0]]
         with pytest.raises(ValueError):

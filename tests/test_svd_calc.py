@@ -10,7 +10,6 @@ from rcadmm.svd_calc import (
     gain_matrix,
     spectrum_degenerate,
     svd_factor_derivatives,
-    theta_matrix,
     w_derivative,
     z_derivative,
 )
@@ -38,45 +37,6 @@ def aligned_factors(base: SvdTriple, other: SvdTriple):
     return other.U * flips, other.V * flips
 
 
-class TestThetaMatrix:
-    def test_zero_dual(self):
-        prob, theta, lam_mat, _, beta, _ = make_instance(0)
-        svd = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta))
-        np.testing.assert_array_equal(
-            theta_matrix(svd, np.zeros_like(lam_mat), beta), np.zeros((4, 4))
-        )
-
-    def test_linear_in_dual(self):
-        prob, theta, lam_mat, _, beta, _ = make_instance(1)
-        svd = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta))
-        np.testing.assert_allclose(
-            theta_matrix(svd, 2.0 * lam_mat, beta),
-            2.0 * theta_matrix(svd, lam_mat, beta),
-            rtol=1e-13,
-        )
-
-    def test_beta_scaling(self):
-        prob, theta, lam_mat, _, _, _ = make_instance(2)
-        svd = fixed_sign_svd(omega_of(prob, theta, lam_mat, 1.0))
-        np.testing.assert_allclose(
-            theta_matrix(svd, lam_mat, 2.0),
-            theta_matrix(svd, lam_mat, 1.0) / 4.0,
-            rtol=1e-13,
-        )
-
-    def test_diagonal_matches_singular_value_slopes(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(3, 3))
-        lam = rng.normal(size=(3, 3))
-        beta = 1.7
-        svd = fixed_sign_svd(a + lam / beta)
-        delta = 1e-6 * beta
-        s_hi = np.linalg.svd(a + lam / (beta + delta), compute_uv=False)
-        s_lo = np.linalg.svd(a + lam / (beta - delta), compute_uv=False)
-        fd = (s_hi - s_lo) / (2 * delta)
-        np.testing.assert_allclose(np.diag(theta_matrix(svd, lam, beta)), fd, atol=1e-6)
-
-
 class TestGainMatrix:
     def test_literal(self):
         g, degenerate = gain_matrix(np.array([2.0, 1.0]))
@@ -97,6 +57,19 @@ class TestGainMatrix:
 
 
 class TestFactorDerivatives:
+    def test_diagonal_matches_singular_value_slopes(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 3))
+        lam = rng.normal(size=(3, 3))
+        beta = 1.7
+        svd = fixed_sign_svd(a + lam / beta)
+        delta = 1e-6 * beta
+        s_hi = np.linalg.svd(a + lam / (beta + delta), compute_uv=False)
+        s_lo = np.linalg.svd(a + lam / (beta - delta), compute_uv=False)
+        fd = (s_hi - s_lo) / (2 * delta)
+        ds = svd_factor_derivatives(svd, -lam / beta**2)[1]
+        np.testing.assert_allclose(ds, fd, atol=1e-6)
+
     def test_zero_domega_gives_zero(self):
         prob, theta, lam_mat, _, beta, _ = make_instance(4)
         svd = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta))

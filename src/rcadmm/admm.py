@@ -124,7 +124,7 @@ def admm_step(
     z_new, e_new, svd = update_w(problem, theta, lam_mat, lam_vec, beta)
     w_new = problem.stack_w(z_new, e_new)
     theta_new = update_theta(problem, w_new, mu, beta)
-    primal = w_new + problem.q @ theta_new + problem.y_tilde
+    primal = w_new + problem.qfac.apply(theta_new) + problem.y_tilde
     return AdmmIterate(
         w=w_new,
         mu=update_duals(mu, primal, beta),
@@ -145,7 +145,7 @@ def residuals(
     the penalty that generated them.
     """
     primal_sq = float(it.primal @ it.primal)
-    eps_d = it.beta * (problem.q @ (it.theta - theta_prev))
+    eps_d = it.beta * problem.qfac.apply(it.theta - theta_prev)
     dual_sq = float(eps_d @ eps_d)
     e = it.e
     return ResidualReport(
@@ -162,5 +162,5 @@ def augmented_lagrangian(
 ) -> float:
     """||e||^2 - mu'(w + Q theta + y_tilde) + beta/2 ||w + Q theta + y_tilde||^2."""
     _, e = problem.split_w(w)
-    c = w + problem.q @ theta + problem.y_tilde
+    c = w + problem.qfac.apply(theta) + problem.y_tilde
     return float(e @ e - mu @ c + 0.5 * beta * (c @ c))

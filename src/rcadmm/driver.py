@@ -233,7 +233,7 @@ def solve(problem, config=None, init=None):
                 if strategy.needs_increment:
                     diag = increment_diagnostics(problem, w, theta, mu, step)
 
-                m = min(config.m_max, k, window.depth)
+                m = window.depth
                 if m >= 1:
                     alpha = anderson_coefficients(
                         window.difference_matrix(m), window.latest_eta

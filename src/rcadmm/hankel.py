@@ -1,4 +1,4 @@
-"""Hankel lifting and rank-truncation linear algebra.
+"""Hankel lifting, the stacked operator Q = [M; Phi], and rank truncation.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import IllConditionedError
 
@@ -71,22 +70,6 @@ def hankel_matrix(x, dims: HankelDims) -> np.ndarray:
     return scipy.linalg.hankel(x[: dims.rows], x[dims.rows - 1 :])
 
 
-def lifting_matrix(dims: HankelDims) -> scipy.sparse.csr_matrix:
-    """0/1 matrix ``M`` with ``M @ x == vec(hankel_matrix(x))``.
-
-    One nonzero per row: vec position ``j * rows + i`` reads ``x[i + j]``.
-    """
-    rows, n = dims.rows, dims.n
-    i_idx, j_idx = np.meshgrid(np.arange(rows), np.arange(n), indexing="ij")
-    vec_pos = (j_idx * rows + i_idx).ravel()
-    src = (i_idx + j_idx).ravel()
-    m = scipy.sparse.csr_matrix(
-        (np.ones(vec_pos.size), (vec_pos, src)), shape=(dims.size, dims.l)
-    )
-    m.sort_indices()
-    return m
-
-
 def fixed_sign_svd(a: np.ndarray) -> SvdTriple:
     """Economy SVD with the deterministic sign convention.
 
@@ -119,31 +102,46 @@ def truncated_svd_projection(a: np.ndarray, r: int) -> tuple[np.ndarray, SvdTrip
     return z, svd
 
 
-class QFactorization:
-    """Economy QR of a full-column-rank matrix.
+class StackedOperator:
+    """The stacked splitting operator ``Q = [M; Phi]``, kept structured.
 
-    Backs both normal-equation solves ``(Q^T Q)^{-1} Q^T v`` and
-    applications of ``P = I - Q (Q^T Q)^{-1} Q^T`` without ever forming
-    ``(Q^T Q)^{-1}``. Construction fails on near rank deficiency.
+    ``M`` is the 0/1 Hankel lifting: vec position ``j * rows + i`` reads
+    ``theta[i + j]``, so ``M theta`` is a gather through ``index`` and
+    ``M'M`` is the diagonal of anti-diagonal lengths ``counts``.  The
+    (l + N) x l matrix ``C = [diag(sqrt(counts)); Phi]`` therefore has
+    ``C'C = Q'Q``, and its economy QR ``C = orth @ r_factor`` backs the
+    normal-equation solves ``(Q'Q)^{-1} Q' v`` and the projector
+    ``P = I - Q (Q'Q)^{-1} Q'`` without forming ``Q``.  Construction fails
+    on near rank deficiency.
     """
 
-    def __init__(self, q: np.ndarray, rtol: float = GAP_RTOL):
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 2 or q.shape[0] < q.shape[1]:
-            raise ValueError(f"expected a tall matrix, got shape {q.shape}")
-        self.orth, self.r_factor = scipy.linalg.qr(q, mode="economic")
-        # Q = orth @ R with orthonormal columns, so R has Q's singular values.
+    def __init__(self, dims: HankelDims, phi: np.ndarray):
+        self.phi = phi
+        self.index = (np.arange(dims.rows)[:, None] + np.arange(dims.n)).ravel(order="F")
+        self.sqrt_counts = np.sqrt(np.bincount(self.index))
+        c = np.vstack([np.diag(self.sqrt_counts), phi])
+        self.orth, self.r_factor = scipy.linalg.qr(c, mode="economic")
+        # C = orth @ R with orthonormal columns, so R has Q's singular values.
         sv = np.linalg.svd(self.r_factor, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < rtol * sv[0]:
+        # The lifting rows keep sigma_max >= 1, so the ratio is defined.
+        if sv[-1] < GAP_RTOL * sv[0]:
             raise IllConditionedError(
-                f"matrix is numerically rank deficient: sigma_min/sigma_max = "
-                f"{sv[-1] / sv[0] if sv[0] > 0 else 0.0:.3e}"
+                f"matrix is numerically rank deficient: "
+                f"sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}"
             )
 
+    def apply(self, theta: np.ndarray) -> np.ndarray:
+        """``Q theta = [vec(H(theta)); Phi theta]``."""
+        return np.concatenate([theta[self.index], self.phi @ theta])
+
     def solve_normal(self, v: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients ``(Q^T Q)^{-1} Q^T v``."""
-        return scipy.linalg.solve_triangular(self.r_factor, self.orth.T @ v)
+        """Least-squares coefficients ``(Q'Q)^{-1} Q' v`` of a w-space ``v``."""
+        # With D = diag(sqrt(counts)), orth' [D^{-1} M' v_z; v_e] = R^{-T} Q' v;
+        # M' v_z sums the vec(Z) block over each anti-diagonal.
+        lifted = np.bincount(self.index, weights=v[: self.index.size])
+        rhs = np.concatenate([lifted / self.sqrt_counts, v[self.index.size :]])
+        return scipy.linalg.solve_triangular(self.r_factor, self.orth.T @ rhs)
 
     def apply_projector(self, v: np.ndarray) -> np.ndarray:
         """``P v`` for the orthogonal-complement projector of range(Q)."""
-        return v - self.orth @ (self.orth.T @ v)
+        return v - self.apply(self.solve_normal(v))

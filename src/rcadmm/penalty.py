@@ -58,7 +58,7 @@ def _increment_parts(problem, w_prev, theta_prev, w_new):
     """
     step = w_new - w_prev
     return (
-        w_prev + problem.q @ theta_prev + problem.y_tilde,
+        w_prev + problem.qfac.apply(theta_prev) + problem.y_tilde,
         step,
         problem.qfac.apply_projector(step),
         problem.qfac.apply_projector(w_new + problem.y_tilde),
@@ -102,10 +102,8 @@ def increment_slope(
     c_prev, step, p_step, p_feas = parts
     _, e_new = problem.split_w(w_new)
 
-    bracket = -mu_prev + beta * (
-        c_prev
-        + problem.qfac.apply_projector(3.0 * w_new - w_prev + 2.0 * problem.y_tilde)
-    )
+    # P(3 w+ - w + 2 y_tilde) = 2 P(w+ + y_tilde) + P(w+ - w).
+    bracket = -mu_prev + beta * (c_prev + 2.0 * p_feas + p_step)
     # Objective gradient 2 e+ lands on the trailing residual block of w.
     bracket[problem.dims.size :] += 2.0 * e_new
     return float(

@@ -7,7 +7,8 @@ and u(t) = 0 for t <= 0. The solver works on the stacked constraint
     y_tilde = [0; -y],
 
 where M lifts theta to vec of its Hankel matrix and Z carries the rank
-constraint.
+constraint.  The solver applies Q through ``hankel.StackedOperator``; the
+dense ``RcpProblem.q`` is a reference copy that no solver path reads.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditionedError
-from .hankel import HankelDims, QFactorization, hankel_matrix, lifting_matrix
+from .hankel import HankelDims, StackedOperator, hankel_matrix
 
 
 @dataclass
@@ -118,10 +119,9 @@ class RcpProblem:
     dims: HankelDims
     r: int
     phi: np.ndarray
-    lifting: object  # sparse 0/1 matrix M
     q: np.ndarray
     y_tilde: np.ndarray
-    qfac: QFactorization = field(repr=False)
+    qfac: StackedOperator = field(repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -156,7 +156,7 @@ class RcpProblem:
 
 
 def assemble_problem(data: RegressionData, l: int, n: int, r: int) -> RcpProblem:
-    """Build regressors, the lifting, and the stacked operator Q = [M; Phi].
+    """Build regressors and the stacked operator Q = [M; Phi].
 
     Requires r < n and a tall-or-square Hankel shape; Q must be full column
     rank (guaranteed here by the lifting rows, checked anyway).
@@ -167,16 +167,14 @@ def assemble_problem(data: RegressionData, l: int, n: int, r: int) -> RcpProblem
     if data.n_samples < 1:
         raise ValueError("empty data record")
     phi = build_phi(data.u, l)
-    lifting = lifting_matrix(dims)
-    q = np.vstack([lifting.toarray(), phi])
+    qfac = StackedOperator(dims, phi)
+    q = np.vstack([np.eye(l)[qfac.index], phi])
     y_tilde = np.concatenate([np.zeros(dims.size), -data.y])
-    qfac = QFactorization(q)
     return RcpProblem(
         data=data,
         dims=dims,
         r=r,
         phi=phi,
-        lifting=lifting,
         q=q,
         y_tilde=y_tilde,
         qfac=qfac,

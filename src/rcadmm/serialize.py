@@ -257,10 +257,12 @@ def cells_from_config(cfg, path="cells"):
     cells = []
     for idx, entry in enumerate(raw):
         name = _require(entry, "name", f"{path}[{idx}]")
+        if not isinstance(name, str):
+            raise ConfigError(f"{path}[{idx}].name must be a string: got {name!r}")
         solver = _section(entry, "solver")
         cells.append(
             ExperimentCell(
-                name=str(name),
+                name=name,
                 config=driver_config_from(solver, f"{path}[{idx}].solver"),
             )
         )

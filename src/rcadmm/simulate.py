@@ -208,12 +208,7 @@ def true_impulse_response(plant, dt, l):
             return 0.0
         return float(c @ expm(aug * horizon)[:dim, dim])
 
-    theta = np.empty(l)
-    for k in range(1, l + 1):
-        theta[k - 1] = step_value(k * dt - plant.delay) - step_value(
-            (k - 1) * dt - plant.delay
-        )
-    return theta
+    return np.diff([step_value(k * dt - plant.delay) for k in range(l + 1)])
 
 
 @dataclass(frozen=True)

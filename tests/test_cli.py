@@ -212,6 +212,19 @@ class TestBenchCommand:
         assert rc == 1
         assert err.startswith(f"error: {key} must be an integer")
 
+    @pytest.mark.parametrize("name", [["a"], None])
+    def test_cell_name_must_be_string(self, tmp_path, capsys, name):
+        spec = json.loads(open(bench_spec(tmp_path)).read())
+        spec["cells"][1]["name"] = name
+        path = write_config(tmp_path / "badname.json", spec)
+        out = tmp_path / "x"
+        rc = main(["bench", "--spec", path, "--jobs", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: cells[1].name must be a string")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_data_csv(self, tmp_path):

@@ -4,10 +4,9 @@ import pytest
 from rcadmm.errors import IllConditionedError
 from rcadmm.hankel import (
     HankelDims,
-    QFactorization,
+    StackedOperator,
     fixed_sign_svd,
     hankel_matrix,
-    lifting_matrix,
     truncated_svd_projection,
 )
 
@@ -16,6 +15,24 @@ def exp_sum_sequence(lags, weights, bases):
     # Independent oracle for low-order impulse responses: sum_i c_i * b_i^k.
     k = np.arange(1, lags + 1)
     return sum(c * b**k for c, b in zip(weights, bases))
+
+
+def dense_lifting(dims):
+    # Reference M built column by column from the Hankel map itself.
+    return np.column_stack(
+        [hankel_matrix(e, dims).ravel(order="F") for e in np.eye(dims.l)]
+    )
+
+
+def random_operator(l, n, n_samples, seed):
+    """Structured operator with a random Phi, and its dense reference Q."""
+    dims = HankelDims(l, n)
+    phi = np.random.default_rng(seed).normal(size=(n_samples, l))
+    return StackedOperator(dims, phi), np.vstack([dense_lifting(dims), phi])
+
+
+def projector_matrix(op, size):
+    return np.column_stack([op.apply_projector(e) for e in np.eye(size)])
 
 
 class TestHankelMatrix:
@@ -58,39 +75,51 @@ class TestHankelMatrix:
 
 
 class TestLiftingMatrix:
+    # M is the top block of the stacked operator: the gather through index.
     def test_small_literal(self):
-        m = lifting_matrix(HankelDims(3, 2))
-        np.testing.assert_array_equal(m @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 2.0, 3.0])
+        op = StackedOperator(HankelDims(3, 2), np.zeros((1, 3)))
+        np.testing.assert_array_equal(op.index, [0, 1, 1, 2])
         np.testing.assert_array_equal(
-            m.toarray(), [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
+            op.apply(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 2.0, 3.0, 0.0]
+        )
+        np.testing.assert_array_equal(
+            dense_lifting(HankelDims(3, 2)), [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
         )
 
     def test_vec_property(self):
         rng = np.random.default_rng(1)
         dims = HankelDims(9, 4)
-        m = lifting_matrix(dims)
+        op = StackedOperator(dims, rng.normal(size=(2, 9)))
         for _ in range(100):
             z = rng.normal(size=9)
-            np.testing.assert_array_equal(m @ z, hankel_matrix(z, dims).ravel(order="F"))
+            np.testing.assert_array_equal(
+                op.apply(z)[: dims.size], hankel_matrix(z, dims).ravel(order="F")
+            )
 
     def test_zero_one_single_entry_rows(self):
-        m = lifting_matrix(HankelDims(8, 3)).toarray()
+        dims = HankelDims(8, 3)
+        op = StackedOperator(dims, np.zeros((1, 8)))
+        m = dense_lifting(dims)
         assert set(np.unique(m)) <= {0.0, 1.0}
         np.testing.assert_array_equal(m.sum(axis=1), np.ones(m.shape[0]))
+        np.testing.assert_array_equal(np.argmax(m, axis=1), op.index)
 
     def test_column_sums_count_antidiagonal_cells(self):
         dims = HankelDims(7, 3)
-        m = lifting_matrix(dims)
+        op = StackedOperator(dims, np.zeros((1, 7)))
         # Combinatorial oracle: entry k of x appears once per (i, j) with i+j=k.
         counts = [
             sum(1 for i in range(dims.rows) for j in range(dims.n) if i + j == k)
             for k in range(dims.l)
         ]
-        np.testing.assert_array_equal(np.asarray(m.sum(axis=0)).ravel(), counts)
+        np.testing.assert_allclose(op.sqrt_counts**2, counts, rtol=1e-15)
+        np.testing.assert_array_equal(dense_lifting(dims).sum(axis=0), counts)
 
     def test_gram_matrix_literal(self):
-        m = lifting_matrix(HankelDims(5, 3))
-        np.testing.assert_array_equal((m.T @ m).toarray(), np.diag([1.0, 2.0, 3.0, 2.0, 1.0]))
+        m = dense_lifting(HankelDims(5, 3))
+        np.testing.assert_array_equal(m.T @ m, np.diag([1.0, 2.0, 3.0, 2.0, 1.0]))
+        op = StackedOperator(HankelDims(5, 3), np.zeros((1, 5)))
+        np.testing.assert_allclose(op.sqrt_counts**2, [1.0, 2.0, 3.0, 2.0, 1.0], rtol=1e-15)
 
 
 class TestTruncatedSvd:
@@ -146,40 +175,41 @@ class TestTruncatedSvd:
 
 
 class TestProjector:
-    def test_unit_column_literal(self):
-        p = QFactorization(np.array([[1.0], [0.0], [0.0]])).apply_projector(np.eye(3))
-        np.testing.assert_allclose(p, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
+    def test_smallest_lift_literal(self):
+        # Q = [M; 0] for l=3, n=2, one sample: the two middle Hankel cells
+        # both read theta[1], so P averages them out.
+        p = projector_matrix(StackedOperator(HankelDims(3, 2), np.zeros((1, 3))), 5)
+        expected = np.zeros((5, 5))
+        expected[1:3, 1:3] = [[0.5, -0.5], [-0.5, 0.5]]
+        expected[4, 4] = 1.0
+        np.testing.assert_allclose(p, expected, atol=1e-15)
 
     def test_projector_identities(self):
-        rng = np.random.default_rng(7)
-        q = rng.normal(size=(10, 3))
-        p = QFactorization(q).apply_projector(np.eye(10))
+        op, q = random_operator(9, 4, 4, seed=7)
+        p = projector_matrix(op, q.shape[0])
         np.testing.assert_allclose(p, p.T, atol=1e-12)
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
         np.testing.assert_allclose(p @ q, np.zeros_like(q), atol=1e-12)
-        assert np.trace(p) == pytest.approx(7.0, abs=1e-10)
+        assert np.trace(p) == pytest.approx(q.shape[0] - q.shape[1], abs=1e-10)
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(8)
-        q = rng.normal(size=(12, 4))
-        fac = QFactorization(q)
-        v = rng.normal(size=12)
-        p = fac.apply_projector(np.eye(12))
-        np.testing.assert_allclose(fac.apply_projector(v), p @ v, atol=1e-12)
+        op, q = random_operator(11, 5, 3, seed=8)
+        theta = rng.normal(size=q.shape[1])
+        np.testing.assert_allclose(op.apply(theta), q @ theta, atol=1e-13)
+        v = rng.normal(size=q.shape[0])
+        p = np.eye(q.shape[0]) - q @ np.linalg.pinv(q)
+        np.testing.assert_allclose(op.apply_projector(v), p @ v, atol=1e-12)
 
     def test_solve_normal_vs_pinv(self):
         rng = np.random.default_rng(9)
-        q = rng.normal(size=(12, 4))
-        v = rng.normal(size=12)
-        np.testing.assert_allclose(
-            QFactorization(q).solve_normal(v), np.linalg.pinv(q) @ v, atol=1e-12
-        )
+        op, q = random_operator(11, 5, 6, seed=9)
+        v = rng.normal(size=q.shape[0])
+        np.testing.assert_allclose(op.solve_normal(v), np.linalg.pinv(q) @ v, atol=1e-12)
 
     def test_rank_deficient_rejected(self):
-        q = np.ones((6, 2))  # duplicate columns
+        # Phi has rank 2 < l, so at this scale the unit lifting rows are
+        # lost below the conditioning threshold.
+        rng = np.random.default_rng(10)
         with pytest.raises(IllConditionedError):
-            QFactorization(q)
-
-    def test_wide_rejected(self):
-        with pytest.raises(ValueError):
-            QFactorization(np.ones((2, 3)))
+            StackedOperator(HankelDims(9, 4), 1e12 * rng.normal(size=(2, 9)))

@@ -130,7 +130,10 @@ class TestAssembleProblem:
         rng, u = make_data(8, 30)
         data = RegressionData(u, rng.normal(size=30))
         prob = assemble_problem(data, l=9, n=4, r=2)
-        np.testing.assert_array_equal(prob.q[: prob.dims.size], prob.lifting.toarray())
+        lifted = np.column_stack(
+            [prob.hankel(e).ravel(order="F") for e in np.eye(prob.l)]
+        )
+        np.testing.assert_array_equal(prob.q[: prob.dims.size], lifted)
         np.testing.assert_array_equal(prob.q[prob.dims.size :], prob.phi)
         np.testing.assert_array_equal(prob.y_tilde[: prob.dims.size], np.zeros(prob.dims.size))
         np.testing.assert_array_equal(prob.y_tilde[prob.dims.size :], -data.y)

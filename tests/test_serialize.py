@@ -230,6 +230,12 @@ class TestProblemAndCells:
         with pytest.raises(ConfigError, match="list of objects"):
             cells_from_config({"cells": raw})
 
+    @pytest.mark.parametrize("name", [["a"], None, 3, {"a": 1}])
+    def test_cell_name_must_be_string(self, name):
+        cell = {"name": name, "solver": {"strategy": "constant"}}
+        with pytest.raises(ConfigError, match=r"cells\[0\].name must be a string"):
+            cells_from_config({"cells": [cell]})
+
     def test_duplicate_cell_names(self):
         cell = {"name": "a", "solver": {"strategy": "constant"}}
         with pytest.raises(ConfigError, match="unique"):

@@ -149,6 +149,33 @@ class TestTrueImpulseResponse:
         assert resid <= 2.5e-3 * np.linalg.norm(sim.y_clean)
 
 
+    def test_one_expm_per_grid_point(self, monkeypatch):
+        import rcadmm.simulate as simulate
+        from scipy.linalg import expm
+
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(simulate, "expm", counting)
+        plant = default_scenario().plant
+        theta = true_impulse_response(plant, 0.5, 60)
+        assert len(calls) <= 61
+        # Reference: each coefficient as a difference of two step values.
+        a, b, c = plant.state_space()
+        aug = np.zeros((3, 3))
+        aug[:2, :2], aug[:2, 2] = a, b
+
+        def step(h):
+            return float(c @ expm(aug * h)[:2, 2]) if h > 0.0 else 0.0
+
+        for k in range(1, 61):
+            ref = step(k * 0.5 - plant.delay) - step((k - 1) * 0.5 - plant.delay)
+            assert theta[k - 1] == ref
+
+
 def tiny_scenario():
     return replace(default_scenario(), duration=10.0, fine_step=0.05)
 

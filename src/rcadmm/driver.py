@@ -11,9 +11,9 @@ The combination is affine (coefficients sum to one), which preserves the
 two sweep invariants that make the penalty diagnostics exact, so the
 self-adaptive rule remains usable at accelerated iterates.
 
-The plain iteration is the same loop with the window depth m fixed at 0
-and every step accepted, as the forced plain step from the recorded
-point after a rejection already is.
+The plain iteration is the same loop with the window left empty (depth
+m = 0) and every step accepted, as the forced plain step from the
+recorded point after a rejection already is.
 """
 
 from collections import deque
@@ -145,19 +145,23 @@ class AndersonWindow:
 def anderson_coefficients(diffs, eta):
     """Least-squares weights for the difference columns against eta.
 
-    Uses a plain orthogonal-factorization solve when the columns are
-    well conditioned; near-singular systems get Tikhonov damping scaled
-    by the squared Frobenius norm of the columns.  A zero difference
-    matrix yields zero weights.
+    One QR ``diffs = Q R`` serves both the conditioning test, through the
+    singular values of the m x m ``R`` (those of ``diffs``), and the
+    well-conditioned solve ``R alpha = Q' eta``.  Near-singular systems
+    get Tikhonov damping scaled by the squared Frobenius norm of the
+    columns.  A zero difference matrix yields zero weights.
     """
     m = diffs.shape[1]
     if m == 0:
         return np.zeros(0)
-    sigma = np.linalg.svd(diffs, compute_uv=False)
+    q, r = np.linalg.qr(diffs)
+    sigma = np.linalg.svd(r, compute_uv=False)
     if sigma[0] == 0.0:
         return np.zeros(m)
     if sigma[-1] > DAMP_RTOL * sigma[0]:
-        return np.linalg.lstsq(diffs, eta, rcond=None)[0]
+        # R is triangular; a general m x m solve costs less per call than
+        # a triangular one through scipy's wrapper and gives the same result.
+        return np.linalg.solve(r, q.T @ eta)
     tau = DAMP_RTOL * float(np.sum(sigma**2))
     augmented = np.vstack([diffs, np.sqrt(tau) * np.eye(m)])
     rhs = np.concatenate([eta, np.zeros(m)])
@@ -202,7 +206,7 @@ def solve(problem, config=None, init=None):
     # A plain step is always taken from the recorded point, unguarded.
     reset = plain
     k = 0
-    window = AndersonWindow(0 if plain else config.m_max)
+    window = AndersonWindow(config.m_max)
     records = []
     states = [] if config.collect_states else None
     termination = "max_iterations"
@@ -224,7 +228,8 @@ def solve(problem, config=None, init=None):
             alpha = None
             if accepted:
                 g = np.concatenate([step.theta, step.mu])
-                window.push(g, g - xi, step.w)
+                if not plain:
+                    window.push(g, g - xi, step.w)
                 theta_rec, mu_rec, w_rec = step.theta, step.mu, step.w
                 eps_prev = eps
                 reset = plain

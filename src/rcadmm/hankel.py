@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -39,7 +40,7 @@ class HankelDims:
                 f"gives {self.l + 1 - self.n} rows"
             )
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.l + 1 - self.n
 
@@ -47,7 +48,7 @@ class HankelDims:
     def cols(self) -> int:
         return self.n
 
-    @property
+    @cached_property
     def size(self) -> int:
         # Length of vec(H).
         return self.rows * self.n
@@ -77,13 +78,10 @@ def fixed_sign_svd(a: np.ndarray) -> SvdTriple:
     of U_j is positive; ties resolve to the first maximal index.
     """
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    v = vt.T.copy()
-    u = u.copy()
     pivot = np.argmax(np.abs(u), axis=0)
-    flip = u[pivot, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
-    return SvdTriple(U=u, s=s, V=v)
+    sign = np.where(u[pivot, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    # V stays C-ordered: how BLAS rounds the products with V depends on its layout.
+    return SvdTriple(U=u * sign, s=s, V=np.multiply(vt.T, sign, order="C"))
 
 
 def truncated_svd_projection(a: np.ndarray, r: int) -> tuple[np.ndarray, SvdTriple]:
@@ -109,10 +107,14 @@ class StackedOperator:
     ``theta[i + j]``, so ``M theta`` is a gather through ``index`` and
     ``M'M`` is the diagonal of anti-diagonal lengths ``counts``.  The
     (l + N) x l matrix ``C = [diag(sqrt(counts)); Phi]`` therefore has
-    ``C'C = Q'Q``, and its economy QR ``C = orth @ r_factor`` backs the
-    normal-equation solves ``(Q'Q)^{-1} Q' v`` and the projector
-    ``P = I - Q (Q'Q)^{-1} Q'`` without forming ``Q``.  Construction fails
-    on near rank deficiency.
+    ``C'C = Q'Q``, and its economy QR ``C = orth @ r_factor`` gives
+    ``(Q'Q)^{-1} Q' = R^{-1} orth' [D^{-1} M'  0; 0  I]`` with
+    ``D = diag(sqrt(counts))``.  ``solve_op`` holds that l x (l + N)
+    product ``R^{-1} orth'`` with ``D^{-1}`` folded into its first l
+    columns, formed once, so the normal-equation solves and the projector
+    ``P = I - Q (Q'Q)^{-1} Q'`` are one anti-diagonal sum and one matrix
+    product, without forming ``Q``.  Construction fails on near rank
+    deficiency.
     """
 
     def __init__(self, dims: HankelDims, phi: np.ndarray):
@@ -129,6 +131,8 @@ class StackedOperator:
                 f"matrix is numerically rank deficient: "
                 f"sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}"
             )
+        self.solve_op = scipy.linalg.solve_triangular(self.r_factor, self.orth.T)
+        self.solve_op[:, : dims.l] /= self.sqrt_counts
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
         """``Q theta = [vec(H(theta)); Phi theta]``."""
@@ -136,11 +140,11 @@ class StackedOperator:
 
     def solve_normal(self, v: np.ndarray) -> np.ndarray:
         """Least-squares coefficients ``(Q'Q)^{-1} Q' v`` of a w-space ``v``."""
-        # With D = diag(sqrt(counts)), orth' [D^{-1} M' v_z; v_e] = R^{-T} Q' v;
         # M' v_z sums the vec(Z) block over each anti-diagonal.
-        lifted = np.bincount(self.index, weights=v[: self.index.size])
-        rhs = np.concatenate([lifted / self.sqrt_counts, v[self.index.size :]])
-        return scipy.linalg.solve_triangular(self.r_factor, self.orth.T @ rhs)
+        size = self.index.size
+        return self.solve_op @ np.concatenate(
+            [np.bincount(self.index, weights=v[:size]), v[size:]]
+        )
 
     def apply_projector(self, v: np.ndarray) -> np.ndarray:
         """``P v`` for the orthogonal-complement projector of range(Q)."""

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditionedError
-from .hankel import HankelDims, StackedOperator, hankel_matrix
+from .hankel import HankelDims, StackedOperator
 
 
 @dataclass
@@ -140,7 +140,8 @@ class RcpProblem:
         return self.dims.size + self.n_samples
 
     def hankel(self, theta: np.ndarray) -> np.ndarray:
-        return hankel_matrix(theta, self.dims)
+        """``H_n(theta)``, gathered through the lifting index."""
+        return theta[self.qfac.index].reshape(self.dims.rows, self.dims.n, order="F")
 
     def split_w(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views (Z, e) of a stacked w = [vec(Z); e]."""

@@ -43,19 +43,21 @@ def gain_matrix(s: np.ndarray) -> tuple[np.ndarray, bool]:
     """
     s = np.asarray(s, dtype=float)
     s2 = s * s
-    denom = s2[None, :] - s2[:, None]
-    degenerate = spectrum_degenerate(s)
-    g = np.zeros_like(denom)
-    mask = ~np.eye(s.size, dtype=bool) & (denom != 0.0)
-    g[mask] = 1.0 / denom[mask]
-    return g, degenerate
+    with np.errstate(divide="ignore", over="ignore"):
+        g = 1.0 / (s2[None, :] - s2[:, None])
+    g[~np.isfinite(g)] = 0.0
+    np.fill_diagonal(g, 0.0)
+    return g, spectrum_degenerate(s)
 
 
 def svd_factor_derivatives(
-    svd: SvdTriple, d_omega: np.ndarray
+    svd: SvdTriple, d_omega: np.ndarray, cols: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dU, ds, dV) for a simple, strictly positive spectrum.
 
+    ``cols`` limits dU and dV to their leading columns (all by default);
+    the gains still couple every pair, so the columns kept are those of
+    the full result.
     Raises SensitivityUnavailable on ties or a zero tail; the truncation
     is not differentiable there and callers fall back to holding beta.
     """
@@ -65,11 +67,13 @@ def svd_factor_derivatives(
     u, s, v = svd.U, svd.s, svd.V
     theta = u.T @ d_omega @ v
     ds = np.diag(theta).copy()
+    k = s.size if cols is None else cols
+    g, sk = g[:, :k], s[:k]
     # Range components rotate through the gains, complements enter directly.
-    x = (d_omega @ v) / s
-    du = u @ (g * (theta * s + s[:, None] * theta.T)) + x - u @ (u.T @ x)
-    y = (d_omega.T @ u) / s
-    dv = v @ (g * (s[:, None] * theta + theta.T * s)) + y - v @ (v.T @ y)
+    x = (d_omega @ v[:, :k]) / sk
+    du = u @ (g * (theta[:, :k] * sk + s[:, None] * theta[:k].T)) + x - u @ (u.T @ x)
+    y = (d_omega.T @ u[:, :k]) / sk
+    dv = v @ (g * (s[:, None] * theta[:, :k] + theta[:k].T * sk)) + y - v @ (v.T @ y)
     return du, ds, dv
 
 
@@ -105,7 +109,7 @@ def w_derivative(
     spectrum does not admit the factor derivatives.
     """
     d_omega = -lam_mat / beta**2
-    du, ds, dv = svd_factor_derivatives(svd, d_omega)
+    du, ds, dv = svd_factor_derivatives(svd, d_omega, problem.r)
     dz = z_derivative(svd, du, ds, dv, problem.r)
     de = e_derivative(problem, theta, e_new, beta)
     return problem.stack_w(dz, de)

@@ -3,6 +3,7 @@ import pytest
 
 from rcadmm.admm import InitialState, admm_step, initial_state, residuals
 from rcadmm.driver import (
+    DAMP_RTOL,
     AndersonWindow,
     DriverConfig,
     SolveResult,
@@ -36,7 +37,49 @@ def feasible_problem(seed=1, n_samples=25, l=9, n=4):
     return assemble_problem(RegressionData(u, y), l=l, n=n, r=2)
 
 
+def reference_anderson_coefficients(diffs, eta):
+    # SVD-gated lstsq: the previous kernel, kept as the reference.
+    m = diffs.shape[1]
+    sigma = np.linalg.svd(diffs, compute_uv=False)
+    if sigma[0] == 0.0:
+        return np.zeros(m)
+    if sigma[-1] > DAMP_RTOL * sigma[0]:
+        return np.linalg.lstsq(diffs, eta, rcond=None)[0]
+    tau = DAMP_RTOL * float(np.sum(sigma**2))
+    augmented = np.vstack([diffs, np.sqrt(tau) * np.eye(m)])
+    rhs = np.concatenate([eta, np.zeros(m)])
+    return np.linalg.lstsq(augmented, rhs, rcond=None)[0]
+
+
 class TestAndersonCoefficients:
+    @pytest.mark.parametrize("rows, m", [(30, 4), (980, 5), (3760, 5)])
+    def test_well_conditioned_matches_reference(self, rows, m):
+        # QR then a triangular solve reorders the rounding of lstsq; the
+        # tolerance is fixed at 1e-12 relative to the weights' norm.
+        rng = np.random.default_rng(rows)
+        diffs = rng.normal(size=(rows, m)) * np.logspace(0, -4, m)
+        eta = rng.normal(size=rows)
+        ref = reference_anderson_coefficients(diffs, eta)
+        got = anderson_coefficients(diffs, eta)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_damped_matches_reference(self):
+        rng = np.random.default_rng(12)
+        col = rng.normal(size=200)
+        diffs = np.column_stack([col, col, rng.normal(size=200)])
+        eta = rng.normal(size=200)
+        sigma = np.linalg.svd(diffs, compute_uv=False)
+        assert sigma[-1] <= DAMP_RTOL * sigma[0]  # the damped branch runs
+        ref = reference_anderson_coefficients(diffs, eta)
+        got = anderson_coefficients(diffs, eta)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_zero_matrix_matches_reference(self):
+        diffs, eta = np.zeros((50, 3)), np.ones(50)
+        np.testing.assert_array_equal(
+            anderson_coefficients(diffs, eta), reference_anderson_coefficients(diffs, eta)
+        )
+
     def test_single_column_literal(self):
         diffs = np.array([[1.0], [0.0]])
         eta = np.array([2.0, 0.0])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rcadmm.errors import IllConditionedError
 from rcadmm.hankel import (
     HankelDims,
     StackedOperator,
+    SvdTriple,
     fixed_sign_svd,
     hankel_matrix,
     truncated_svd_projection,
@@ -33,6 +35,30 @@ def random_operator(l, n, n_samples, seed):
 
 def projector_matrix(op, size):
     return np.column_stack([op.apply_projector(e) for e in np.eye(size)])
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def reference_fixed_sign_svd(a):
+    # Copy-and-mask flip: the previous kernel, kept as the reference.
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+    v = vt.T.copy()
+    u = u.copy()
+    pivot = np.argmax(np.abs(u), axis=0)
+    flip = u[pivot, np.arange(u.shape[1])] < 0
+    u[:, flip] *= -1.0
+    v[:, flip] *= -1.0
+    return SvdTriple(U=u, s=s, V=v)
+
+
+def reference_solve_normal(op, v):
+    # Triangular solve per call: the previous kernel, kept as the reference.
+    lifted = np.bincount(op.index, weights=v[: op.index.size])
+    rhs = np.concatenate([lifted / op.sqrt_counts, v[op.index.size :]])
+    return scipy.linalg.solve_triangular(op.r_factor, op.orth.T @ rhs)
 
 
 class TestHankelMatrix:
@@ -167,6 +193,17 @@ class TestTruncatedSvd:
             peaks = svd.U[np.argmax(np.abs(svd.U), axis=0), np.arange(3)]
             assert np.all(peaks > 0)
 
+    @pytest.mark.parametrize("shape", [(6, 3), (41, 20), (81, 40)])
+    def test_sign_flip_bitwise_equals_reference(self, shape):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            a = rng.normal(size=shape)
+            svd, ref = fixed_sign_svd(a), reference_fixed_sign_svd(a)
+            for got, want in ((svd.U, ref.U), (svd.s, ref.s), (svd.V, ref.V)):
+                assert_bitwise(got, want)
+            # Same memory order as the reference, so products with V round alike.
+            assert svd.V.flags.c_contiguous
+
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
             truncated_svd_projection(np.eye(3), 4)
@@ -206,6 +243,18 @@ class TestProjector:
         op, q = random_operator(11, 5, 6, seed=9)
         v = rng.normal(size=q.shape[0])
         np.testing.assert_allclose(op.solve_normal(v), np.linalg.pinv(q) @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("l, n, n_samples", [(11, 5, 6), (60, 20, 100), (120, 40, 400)])
+    def test_solve_normal_matches_triangular_reference(self, l, n, n_samples):
+        # Folding R^{-1} and D^{-1} into one product reorders the rounding;
+        # the tolerance is fixed at 1e-13 relative to the result's norm.
+        op, q = random_operator(l, n, n_samples, seed=l)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            v = rng.normal(size=q.shape[0])
+            ref = reference_solve_normal(op, v)
+            err = np.linalg.norm(op.solve_normal(v) - ref)
+            assert err <= 1e-13 * np.linalg.norm(ref)
 
     def test_rank_deficient_rejected(self):
         # Phi has rank 2 < l, so at this scale the unit lifting rows are

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rcadmm.errors import IllConditionedError
 from rcadmm.problem import (
@@ -152,6 +153,18 @@ class TestAssembleProblem:
             np.concatenate([prob.hankel(theta).ravel(order="F"), prob.phi @ theta]),
             atol=1e-14,
         )
+
+    @pytest.mark.parametrize("l, n", [(9, 4), (60, 20), (120, 40)])
+    def test_hankel_gather_bitwise_equals_scipy(self, l, n):
+        rng = np.random.default_rng(l)
+        prob = assemble_problem(RegressionData(rng.normal(size=30), rng.normal(size=30)), l, n, 2)
+        rows = l + 1 - n
+        for _ in range(5):
+            theta = rng.normal(size=l)
+            got = prob.hankel(theta)
+            want = scipy.linalg.hankel(theta[:rows], theta[rows - 1 :])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_rank_validation(self):
         rng, u = make_data(10, 20)

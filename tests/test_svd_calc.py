@@ -30,6 +30,40 @@ def omega_of(prob, theta, lam_mat, beta):
     return -prob.hankel(theta) + lam_mat / beta
 
 
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def reference_gain_matrix(s):
+    # Mask-and-fancy-index build: the previous kernel, kept as the reference.
+    s2 = s * s
+    denom = s2[None, :] - s2[:, None]
+    g = np.zeros_like(denom)
+    mask = ~np.eye(s.size, dtype=bool) & (denom != 0.0)
+    g[mask] = 1.0 / denom[mask]
+    return g
+
+
+def reference_factor_derivatives(svd, d_omega):
+    # All columns of dU and dV: the previous kernel, kept as the reference.
+    u, s, v = svd.U, svd.s, svd.V
+    g = reference_gain_matrix(s)
+    theta = u.T @ d_omega @ v
+    ds = np.diag(theta).copy()
+    x = (d_omega @ v) / s
+    du = u @ (g * (theta * s + s[:, None] * theta.T)) + x - u @ (u.T @ x)
+    y = (d_omega.T @ u) / s
+    dv = v @ (g * (s[:, None] * theta + theta.T * s)) + y - v @ (v.T @ y)
+    return du, ds, dv
+
+
+def workload_omega(l, n, seed):
+    """Omega and dOmega on a Hankel block of the benchmark's shapes."""
+    prob, theta, lam_mat, _, beta, _ = make_instance(seed, l=l, n=n, r=2, n_samples=100)
+    return fixed_sign_svd(omega_of(prob, theta, lam_mat, beta)), -lam_mat / beta**2
+
+
 def aligned_factors(base: SvdTriple, other: SvdTriple):
     # Finite differences must track the smooth factor branch: align signs
     # of each column pair by inner product with the base factors.
@@ -49,6 +83,24 @@ class TestGainMatrix:
 
     def test_degenerate_gap_flagged(self):
         _, degenerate = gain_matrix(np.array([2.0, 1.0, 1.0 - 1e-14]))
+        assert degenerate
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            np.array([2.0, 1.0]),
+            np.array([3.0, 2.0, 2.0, 0.5]),  # tied pair: its gains must be 0
+            np.linspace(5.0, 0.1, 20),
+            np.array([1.0, 1e-200, 0.0]),
+        ],
+    )
+    def test_bitwise_equals_masked_reference(self, s):
+        g, _ = gain_matrix(s)
+        assert_bitwise(g, reference_gain_matrix(s))
+
+    def test_tied_pair_gives_zero(self):
+        g, degenerate = gain_matrix(np.array([3.0, 2.0, 2.0, 0.5]))
+        assert g[1, 2] == 0.0 and g[2, 1] == 0.0
         assert degenerate
 
     def test_zero_tail_flagged(self):
@@ -113,6 +165,39 @@ class TestFactorDerivatives:
         omega_hi = omega_of(prob, theta, lam_mat, beta + delta)
         recon = ((svd.U + delta * du) * (svd.s + delta * ds)) @ (svd.V + delta * dv).T
         assert np.linalg.norm(omega_hi - recon) <= 1e-6 * np.linalg.norm(omega)
+
+    def test_all_columns_bitwise_equal_reference(self):
+        for l, n in ((9, 4), (60, 20), (120, 40)):
+            svd, d_omega = workload_omega(l, n, seed=l)
+            for got, want in zip(
+                svd_factor_derivatives(svd, d_omega), reference_factor_derivatives(svd, d_omega)
+            ):
+                assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("l, n", [(60, 20), (120, 40)])
+    def test_leading_columns_bitwise_at_solver_rank(self, l, n):
+        # w_derivative asks for the problem's r = 8 columns on the
+        # benchmark's 41x20 and 81x40 blocks; there they are the full
+        # result's columns bit for bit.
+        for seed in range(5):
+            svd, d_omega = workload_omega(l, n, seed)
+            full = reference_factor_derivatives(svd, d_omega)
+            du, ds, dv = svd_factor_derivatives(svd, d_omega, 8)
+            assert_bitwise(du, full[0][:, :8])
+            assert_bitwise(ds, full[1])
+            assert_bitwise(dv, full[2][:, :8])
+
+    def test_leading_columns_match_full_at_every_width(self):
+        # BLAS picks its kernel by the product's width, so some widths
+        # round differently in the last bit; the values agree to 1e-14.
+        svd, d_omega = workload_omega(60, 20, seed=3)
+        full = reference_factor_derivatives(svd, d_omega)
+        for k in range(1, 21):
+            du, ds, dv = svd_factor_derivatives(svd, d_omega, k)
+            assert du.shape == (41, k) and dv.shape == (20, k)
+            np.testing.assert_array_equal(ds, full[1])
+            for got, want in ((du, full[0][:, :k]), (dv, full[2][:, :k])):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_degenerate_spectrum_raises(self):
         svd = fixed_sign_svd(np.diag([2.0, 1.0, 1.0, 0.5]))

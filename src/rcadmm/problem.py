@@ -8,11 +8,12 @@ and u(t) = 0 for t <= 0. The solver works on the stacked constraint
 
 where M lifts theta to vec of its Hankel matrix and Z carries the rank
 constraint.  The solver applies Q through ``hankel.StackedOperator``; the
-dense ``RcpProblem.q`` is a reference copy that no solver path reads.
+dense ``RcpProblem.q`` is a reference, built on first read, that no solver reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -119,13 +120,17 @@ class RcpProblem:
     dims: HankelDims
     r: int
     phi: np.ndarray
-    q: np.ndarray
     y_tilde: np.ndarray
     qfac: StackedOperator = field(repr=False)
 
     @property
     def n_samples(self) -> int:
         return self.data.n_samples
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Dense ``Q = [M; Phi]``, a reference built on first read."""
+        return np.vstack([np.eye(self.l)[self.qfac.index], self.phi])
 
     @property
     def l(self) -> int:
@@ -169,14 +174,5 @@ def assemble_problem(data: RegressionData, l: int, n: int, r: int) -> RcpProblem
         raise ValueError("empty data record")
     phi = build_phi(data.u, l)
     qfac = StackedOperator(dims, phi)
-    q = np.vstack([np.eye(l)[qfac.index], phi])
     y_tilde = np.concatenate([np.zeros(dims.size), -data.y])
-    return RcpProblem(
-        data=data,
-        dims=dims,
-        r=r,
-        phi=phi,
-        q=q,
-        y_tilde=y_tilde,
-        qfac=qfac,
-    )
+    return RcpProblem(data=data, dims=dims, r=r, phi=phi, y_tilde=y_tilde, qfac=qfac)

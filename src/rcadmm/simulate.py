@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.signal import tf2ss
 from scipy.linalg import expm
 
 from .admm import initial_state
@@ -47,18 +46,17 @@ class SotdPlant:
     def __post_init__(self):
         if len(self.num) != 2 or len(self.den) != 3:
             raise ValueError("plant must be (b1 s + b0) / (a2 s^2 + a1 s + a0)")
-        if self.den[0] <= 0.0:
-            raise ValueError("leading denominator coefficient must be positive")
         if min(self.den) <= 0.0:
             raise ValueError("denominator coefficients must be positive")
         if self.delay < 0.0:
             raise ValueError("delay must be nonnegative")
 
     def state_space(self):
-        a, b, c, d = tf2ss(list(self.num), list(self.den))
-        if np.any(d != 0.0):
-            raise ValueError("plant must be strictly proper")
-        return a, b.ravel(), c.ravel()
+        """Controllable companion form (A, B, C), as ``tf2ss`` builds it."""
+        b1, b0 = self.num
+        a2, a1, a0 = self.den
+        a = np.array([[-(a1 / a2), -(a0 / a2)], [1.0, 0.0]])
+        return a, np.array([1.0, 0.0]), np.array([b1 / a2, b0 / a2])
 
 
 @dataclass(frozen=True)
@@ -88,16 +86,26 @@ class BenchmarkScenario:
             raise ValueError("duration and dt must be positive")
         if self.noise_var < 0.0:
             raise ValueError("noise variance must be nonnegative")
-        if abs(round(self.duration / self.dt) * self.dt - self.duration) > 1e-9:
+        if abs(self.n_samples * self.dt - self.duration) > 1e-9:
             raise ValueError("duration must be a whole number of samples")
-        if self.fine_step > self.dt / 10.0 + 1e-12:
-            raise ValueError("fine step must be at most dt/10")
-        if abs(round(self.dt / self.fine_step) * self.fine_step - self.dt) > 1e-9:
+        if not 0.0 < self.fine_step <= self.dt / 10.0 + 1e-12:
+            raise ValueError("fine step must be positive and at most dt/10")
+        if abs(self.per_sample * self.fine_step - self.dt) > 1e-9:
             raise ValueError("dt must be a whole number of fine steps")
+        if abs(self.delay_steps * self.fine_step - self.plant.delay) > 1e-9:
+            raise ValueError("plant delay must be a whole number of fine steps")
 
     @property
     def n_samples(self):
         return round(self.duration / self.dt)
+
+    @property
+    def per_sample(self):
+        return round(self.dt / self.fine_step)
+
+    @property
+    def delay_steps(self):
+        return round(self.plant.delay / self.fine_step)
 
 
 def default_scenario(seed=0):
@@ -133,9 +141,7 @@ def _rk4_matrices(a, b, step):
 
 def _relay_loop(a, b, c, scn):
     """Integrate the closed loop; returns sampled u and clean y."""
-    per_sample = round(scn.dt / scn.fine_step)
-    n_fine = per_sample * scn.n_samples
-    delay_steps = round(scn.plant.delay / scn.fine_step)
+    per_sample, delay_steps = scn.per_sample, scn.delay_steps
     f_mat, g_vec = _rk4_matrices(a, b, scn.fine_step)
     f11, f12 = f_mat[0]
     f21, f22 = f_mat[1]
@@ -146,31 +152,28 @@ def _relay_loop(a, b, c, scn):
 
     x1 = x2 = 0.0
     relay_high = True
-    u_now = d
-    u_fine = [0.0] * n_fine
     u_samples = np.empty(scn.n_samples)
     y_samples = np.empty(scn.n_samples)
 
-    for q in range(n_fine):
-        if q % per_sample == 0:
-            i = q // per_sample
-            y_now = c1 * x1 + c2 * x2
-            if abs(x1) + abs(x2) > STATE_NORM_LIMIT:
-                raise NumericFailure("plant state diverged during simulation")
-            error = -y_now
-            if relay_high and error <= -h:
-                relay_high = False
-            elif not relay_high and error >= h:
-                relay_high = True
-            u_now = d if relay_high else -d
-            y_samples[i] = y_now
-            u_samples[i] = u_now
-        u_fine[q] = u_now
-        u_del = u_fine[q - delay_steps] if q >= delay_steps else 0.0
-        x1, x2 = (
-            f11 * x1 + f12 * x2 + g1 * u_del,
-            f21 * x1 + f22 * x2 + g2 * u_del,
-        )
+    for i in range(scn.n_samples):
+        y_now = c1 * x1 + c2 * x2
+        if abs(x1) + abs(x2) > STATE_NORM_LIMIT:
+            raise NumericFailure("plant state diverged during simulation")
+        error = -y_now
+        if relay_high and error <= -h:
+            relay_high = False
+        elif not relay_high and error >= h:
+            relay_high = True
+        y_samples[i] = y_now
+        u_samples[i] = d if relay_high else -d
+        # k is the fine step whose held input reaches the plant now.
+        start = i * per_sample - delay_steps
+        for k in range(start, start + per_sample):
+            u_del = u_samples[k // per_sample] if k >= 0 else 0.0
+            x1, x2 = (
+                f11 * x1 + f12 * x2 + g1 * u_del,
+                f21 * x1 + f22 * x2 + g2 * u_del,
+            )
     return u_samples, y_samples
 
 
@@ -365,7 +368,7 @@ def monte_carlo(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, runs)) as pool:
             batches = list(pool.map(job, range(runs)))
     else:
         batches = [job(run) for run in range(runs)]

@@ -237,6 +237,17 @@ class TestSimulateCommand:
         assert t[0] == 0.0
         assert set(np.unique(u)) <= {1.0, -1.0}
 
+    def test_zero_fine_step_exits_1(self, tmp_path, capsys):
+        scenario = dict(TINY_SCENARIO, fine_step=0)
+        cfg = write_config(tmp_path / "sim.json", {"scenario": scenario})
+        out = tmp_path / "data.csv"
+        rc = main(["simulate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid scenario settings")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", {"scenario": dict(TINY_SCENARIO)})
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -303,18 +301,21 @@ class TestIncrement:
 
     def test_dense_q_products_per_iteration(self):
         # Sweep, residuals and increment apply Q through the structured
-        # operator only: with the dense Q removed they still run, and the
-        # results are unchanged.
+        # operator only: they never build the dense Q, which is made on
+        # first read, and their results equal those on a problem whose
+        # dense Q was read.
         prob = small_problem(11)
-        without_q = replace(prob, q=None)
+        with_q = small_problem(11)
+        assert with_q.q.shape == (with_q.w_size, with_q.l)
         state = initial_state(prob)
         w, theta, mu = state.w, state.theta, state.mu
         for _ in range(5):
-            it = admm_step(without_q, theta, mu, 1.2)
-            report = residuals(without_q, theta, it)
-            diag = increment_diagnostics(without_q, w, theta, mu, it)
-            reference = admm_step(prob, theta, mu, 1.2)
+            it = admm_step(prob, theta, mu, 1.2)
+            report = residuals(prob, theta, it)
+            diag = increment_diagnostics(prob, w, theta, mu, it)
+            reference = admm_step(with_q, theta, mu, 1.2)
             np.testing.assert_array_equal(it.mu, reference.mu)
-            assert report == residuals(prob, theta, reference)
-            assert diag == increment_diagnostics(prob, w, theta, mu, reference)
+            assert report == residuals(with_q, theta, reference)
+            assert diag == increment_diagnostics(with_q, w, theta, mu, reference)
             w, theta, mu = it.w, it.theta, it.mu
+        assert "q" not in vars(prob)

@@ -139,6 +139,15 @@ class TestAssembleProblem:
         np.testing.assert_array_equal(prob.y_tilde[: prob.dims.size], np.zeros(prob.dims.size))
         np.testing.assert_array_equal(prob.y_tilde[prob.dims.size :], -data.y)
 
+    def test_dense_q_built_on_first_read(self):
+        rng, u = make_data(10, 30)
+        prob = assemble_problem(RegressionData(u, rng.normal(size=30)), l=9, n=4, r=2)
+        assert "q" not in vars(prob)
+        expected = np.vstack([np.eye(9)[prob.qfac.index], prob.phi])
+        assert prob.q.shape == expected.shape
+        assert prob.q.tobytes() == expected.tobytes()
+        assert prob.q is prob.q
+
     def test_split_stack_roundtrip(self):
         rng, u = make_data(9, 25)
         prob = assemble_problem(RegressionData(u, rng.normal(size=25)), l=9, n=4, r=2)

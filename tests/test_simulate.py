@@ -1,10 +1,18 @@
 """Relay-feedback benchmark simulation and Monte Carlo harness tests."""
 
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.signal import BadCoefficients, tf2ss
 
+import rcadmm
 from rcadmm.driver import DriverConfig, solve
 from rcadmm.errors import NumericFailure
 from rcadmm.penalty import ConstantPenalty, SelfAdaptivePenalty
@@ -15,6 +23,7 @@ from rcadmm.simulate import (
     RelayConfig,
     SotdPlant,
     _relay_loop,
+    _rk4_matrices,
     default_scenario,
     monte_carlo,
     simulate_relay,
@@ -46,6 +55,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             replace(default_scenario(), fine_step=0.03)
 
+    @pytest.mark.parametrize("fine_step", [0.0, -0.01])
+    def test_fine_step_must_be_positive(self, fine_step):
+        with pytest.raises(ValueError):
+            replace(default_scenario(), fine_step=fine_step)
+
+    def test_delay_must_be_on_fine_grid(self):
+        # Off the grid the simulator would round the delay while the
+        # true impulse response uses it exactly.
+        scn = default_scenario()
+        with pytest.raises(ValueError):
+            replace(scn, plant=replace(scn.plant, delay=3.005))
+        assert replace(scn, plant=replace(scn.plant, delay=3.01)).delay_steps == 301
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             replace(default_scenario(), noise_var=-1.0)
@@ -65,7 +87,97 @@ class TestScenarioValidation:
             RelayConfig(hysteresis=-0.01)
 
 
+COEFFICIENTS = st.floats(-1e3, 1e3, allow_nan=False)
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+class TestStateSpace:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.tuples(COEFFICIENTS, COEFFICIENTS), st.tuples(POSITIVE, POSITIVE, POSITIVE))
+    def test_bitwise_equals_tf2ss(self, num, den):
+        # tf2ss drops a normalized leading numerator coefficient of at most
+        # 1e-14 (so a -0.0 comes back as +0.0); elsewhere the forms agree.
+        b1 = num[0] / den[0]
+        assume(abs(b1) > 1e-14 or (b1 == 0.0 and not np.signbit(b1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BadCoefficients)
+            a, b, c, d = tf2ss(list(num), list(den))
+        assert not d.any()
+        got = SotdPlant(num, den, 0.0).state_space()
+        for mine, ref in zip(got, (a, b.ravel(), c.ravel())):
+            assert mine.dtype == ref.dtype and mine.shape == ref.shape
+            assert mine.tobytes() == ref.tobytes()
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        src = str(Path(rcadmm.__file__).parents[1])
+        code = "import sys; sys.path.insert(0, sys.argv[1]); import rcadmm; print(*sys.modules)"
+        run = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+        )
+        loaded = set(run.stdout.split())
+        assert "rcadmm" in loaded
+        assert "scipy.signal" not in loaded and "scipy.stats" not in loaded
+
+
+def _reference_relay_loop(a, b, c, scn):
+    """The relay loop with the held input of every fine step in a list."""
+    per_sample = round(scn.dt / scn.fine_step)
+    n_fine = per_sample * scn.n_samples
+    delay_steps = round(scn.plant.delay / scn.fine_step)
+    f_mat, g_vec = _rk4_matrices(a, b, scn.fine_step)
+    f11, f12 = f_mat[0]
+    f21, f22 = f_mat[1]
+    g1, g2 = g_vec
+    c1, c2 = c
+    d = scn.relay.amplitude
+    h = scn.relay.hysteresis
+
+    x1 = x2 = 0.0
+    relay_high = True
+    u_now = d
+    u_fine = [0.0] * n_fine
+    u_samples = np.empty(scn.n_samples)
+    y_samples = np.empty(scn.n_samples)
+    for q in range(n_fine):
+        if q % per_sample == 0:
+            i = q // per_sample
+            y_now = c1 * x1 + c2 * x2
+            error = -y_now
+            if relay_high and error <= -h:
+                relay_high = False
+            elif not relay_high and error >= h:
+                relay_high = True
+            u_now = d if relay_high else -d
+            y_samples[i] = y_now
+            u_samples[i] = u_now
+        u_fine[q] = u_now
+        u_del = u_fine[q - delay_steps] if q >= delay_steps else 0.0
+        x1, x2 = (
+            f11 * x1 + f12 * x2 + g1 * u_del,
+            f21 * x1 + f22 * x2 + g2 * u_del,
+        )
+    return u_samples, y_samples
+
+
+ON_GRID = [
+    (fine_step, delay)
+    for fine_step in (0.005, 0.01, 0.05)
+    for delay in (0.0, 0.37, 3.0, 100.0)
+    if abs(round(delay / fine_step) * fine_step - delay) <= 1e-9
+]
+
+
 class TestSimulateRelay:
+    @pytest.mark.parametrize("fine_step, delay", ON_GRID)
+    def test_loop_bitwise_equals_reference(self, fine_step, delay):
+        scn = noise_free()
+        scn = replace(scn, plant=replace(scn.plant, delay=delay), fine_step=fine_step)
+        a, b, c = scn.plant.state_space()
+        got = _relay_loop(a, b, c, scn)
+        want = _reference_relay_loop(a, b, c, scn)
+        for mine, ref in zip(got, want):
+            assert mine.tobytes() == ref.tobytes()
+
     def test_sample_grid(self):
         sim = simulate_relay(default_scenario())
         assert sim.t.shape == sim.u.shape == sim.y.shape == (100,)
@@ -289,6 +401,31 @@ class TestMonteCarlo:
         monkeypatch.setattr("rcadmm.simulate.solve", broken)
         with pytest.raises(TypeError, match="bug"):
             monte_carlo(tiny_scenario(), tiny_cells(), runs=1, **TINY)
+
+    @pytest.mark.parametrize("jobs, runs", [(64, 2), (2, 3)])
+    def test_pool_workers_capped_at_runs(self, monkeypatch, jobs, runs):
+        import concurrent.futures
+
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        pooled = monte_carlo(tiny_scenario(), tiny_cells(), runs=runs, jobs=jobs, **TINY)
+        assert workers == [min(jobs, runs)]
+        serial = monte_carlo(tiny_scenario(), tiny_cells(), runs=runs, **TINY)
+        assert pooled.summaries == serial.summaries
 
     def test_duplicate_cell_names_rejected(self):
         cells = [tiny_cells()[0], tiny_cells()[0]]

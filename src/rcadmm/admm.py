@@ -16,7 +16,7 @@ to -(Q'Q)^{-1} Q' (w+ + y_tilde); both identities are exercised in tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,22 +34,25 @@ class AdmmIterate:
     primal: np.ndarray
     beta: float
     svd: SvdTriple
-    problem: RcpProblem
-
-    @property
-    def e(self) -> np.ndarray:
-        return self.problem.split_w(self.w)[1]
+    e: np.ndarray
 
 
 @dataclass
 class ResidualReport:
-    """Squared residual norms of one sweep, under the beta that produced it."""
+    """Squared residual norms of one sweep, under the beta that produced it.
+
+    Its fields, in order ``REPORT_FIELDS``, are the figures that trace
+    records, run summaries, cell averages and CLI summaries carry.
+    """
 
     primal_sq: float
     dual_sq: float
     combined: float
-    objective: float
     beta: float
+    objective: float
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(ResidualReport))
 
 
 @dataclass
@@ -132,7 +135,7 @@ def admm_step(
         primal=primal,
         beta=beta,
         svd=svd,
-        problem=problem,
+        e=e_new,
     )
 
 
@@ -147,13 +150,12 @@ def residuals(
     primal_sq = float(it.primal @ it.primal)
     eps_d = it.beta * problem.qfac.apply(it.theta - theta_prev)
     dual_sq = float(eps_d @ eps_d)
-    e = it.e
     return ResidualReport(
         primal_sq=primal_sq,
         dual_sq=dual_sq,
         combined=it.beta * primal_sq + dual_sq / it.beta,
-        objective=float(e @ e),
         beta=it.beta,
+        objective=float(it.e @ it.e),
     )
 
 

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .admm import initial_state
+from .admm import REPORT_FIELDS, initial_state
 from .driver import solve
 from .errors import ConfigError
 from .problem import assemble_problem
@@ -66,13 +66,10 @@ def cmd_solve(args):
         "termination": result.termination,
         "iterations": result.iterations,
         "wall_time_s": wall,
-        "final_primal_sq": final.primal_sq if final else None,
-        "final_dual_sq": final.dual_sq if final else None,
-        "final_combined": final.combined if final else None,
-        "final_beta": final.beta if final else None,
-        "final_objective": final.objective if final else None,
         "theta": [float(v) for v in result.theta],
     }
+    for name in REPORT_FIELDS:
+        summary[f"final_{name}"] = getattr(final, name) if final else None
     summary_path = os.path.join(out, "summary.json")
     write_json(summary_path, summary)
     print(
@@ -116,19 +113,17 @@ def cmd_bench(args):
         csv_path = os.path.join(out, f"{_safe_name(cell.name)}_mean.csv")
         write_averages_csv(csv_path, avg)
         rows = [s for s in mc.summaries if s.cell == cell.name]
-        report[cell.name] = {
+        finals = [s.final for s in rows if s.final is not None]
+        entry = report[cell.name] = {
             "runs": avg.runs,
             "failures": avg.failures,
-            "mean_final_primal_sq": _finite_mean([s.final_primal_sq for s in rows]),
-            "mean_final_dual_sq": _finite_mean([s.final_dual_sq for s in rows]),
-            "mean_final_combined": _finite_mean([s.final_combined for s in rows]),
-            "mean_final_beta": _finite_mean([s.final_beta for s in rows]),
-            "mean_final_objective": _finite_mean([s.final_objective for s in rows]),
             "mean_theta_error": _finite_mean([s.theta_error for s in rows]),
         }
+        for name in REPORT_FIELDS:
+            entry[f"mean_final_{name}"] = _finite_mean([f[name] for f in finals])
         print(
             f"{cell.name}: runs={avg.runs} failures={avg.failures} "
-            f"mean final combined={report[cell.name]['mean_final_combined']}"
+            f"mean final combined={entry['mean_final_combined']}"
         )
     write_json(os.path.join(out, "summary.json"), report)
     return 0

@@ -170,14 +170,7 @@ def anderson_coefficients(diffs, eta):
 
 def _record(iteration, report, accepted, dldbeta):
     return IterationRecord(
-        iteration=iteration,
-        beta=report.beta,
-        primal_sq=report.primal_sq,
-        dual_sq=report.dual_sq,
-        combined=report.combined,
-        objective=report.objective,
-        accepted=accepted,
-        dldbeta=dldbeta,
+        iteration=iteration, accepted=accepted, dldbeta=dldbeta, **vars(report)
     )
 
 

@@ -145,7 +145,7 @@ class ConstantPenalty:
     needs_increment = False
 
     def update(self, beta, residual=None, increment=None):
-        return _clamp(beta)
+        return beta
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class MultiplicativePenalty:
             raise ValueError("beta_max must be positive")
 
     def update(self, beta, residual=None, increment=None):
-        return _clamp(min(self.rho * beta, self.beta_max))
+        return min(self.rho * beta, self.beta_max)
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,10 @@ class ResidualBasedPenalty:
 
     def update(self, beta, residual=None, increment=None):
         if residual.primal_sq > self.kappa * residual.dual_sq:
-            return _clamp(beta * self.rho_inc)
+            return beta * self.rho_inc
         if residual.dual_sq > self.kappa * residual.primal_sq:
-            return _clamp(beta / self.rho_dec)
-        return _clamp(beta)
+            return beta / self.rho_dec
+        return beta
 
 
 @dataclass(frozen=True)
@@ -215,16 +215,16 @@ class SelfAdaptivePenalty:
 
     def update(self, beta, residual=None, increment=None):
         if increment is None or increment.slope is None:
-            return _clamp(beta)
+            return beta
         if abs(increment.slope) <= SLOPE_ATOL * (1.0 + abs(increment.delta_l)):
-            return _clamp(beta)
+            return beta
         if increment.slope < 0.0:
-            return _clamp(beta * self.rho_inc)
-        return _clamp(beta / self.rho_dec)
+            return beta * self.rho_inc
+        return beta / self.rho_dec
 
 
 def update_penalty(strategy, beta, residual=None, increment=None):
     """Apply one penalty update; all strategies share the global clamp."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    return strategy.update(beta, residual, increment)
+    return _clamp(strategy.update(beta, residual, increment))

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import expm
 
-from .admm import initial_state
+from .admm import REPORT_FIELDS, initial_state
 from .driver import DriverConfig, SolveResult, solve
 from .errors import IllConditionedError, NumericFailure, SensitivityUnavailable
 from .problem import RegressionData, assemble_problem
@@ -222,21 +222,21 @@ class ExperimentCell:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """One solve of a study.  ``final`` maps each ``REPORT_FIELDS`` name to
+    its value in the last accepted record, or is None when no step was."""
+
     run: int
     cell: str
     iterations: int
     termination: str
-    final_primal_sq: float
-    final_dual_sq: float
-    final_combined: float
-    final_beta: float
-    final_objective: float
+    final: dict | None
     theta_error: float
 
 
 @dataclass
 class CellAverages:
-    """Accepted-row running means indexed by iteration number."""
+    """Accepted-row running means indexed by iteration number; row i of
+    ``sums`` holds the ``REPORT_FIELDS[i]`` figure."""
 
     name: str
     sums: np.ndarray = field(repr=False)
@@ -281,9 +281,8 @@ class McResult:
 
 
 def _new_averages(name, horizon):
-    return CellAverages(
-        name=name, sums=np.zeros((5, horizon)), counts=np.zeros(horizon)
-    )
+    sums = np.zeros((len(REPORT_FIELDS), horizon))
+    return CellAverages(name=name, sums=sums, counts=np.zeros(horizon))
 
 
 def _accumulate(avg, records):
@@ -293,11 +292,7 @@ def _accumulate(avg, records):
         j = record.iteration - 1
         if j >= avg.sums.shape[1]:
             continue
-        avg.sums[0, j] += record.primal_sq
-        avg.sums[1, j] += record.dual_sq
-        avg.sums[2, j] += record.combined
-        avg.sums[3, j] += record.beta
-        avg.sums[4, j] += record.objective
+        avg.sums[:, j] += [getattr(record, name) for name in REPORT_FIELDS]
         avg.counts[j] += 1
 
 
@@ -316,17 +311,14 @@ def _run_cells(scn, cells, base_seed, l, n, r, theta_true, run):
             result = SolveResult(
                 theta=np.full(l, np.nan), records=[], termination="error", iterations=0
             )
-        final = result.final
+        rec = result.final
+        final = {name: getattr(rec, name) for name in REPORT_FIELDS} if rec else None
         summary = RunSummary(
             run=run,
             cell=cell.name,
             iterations=result.iterations,
             termination=result.termination,
-            final_primal_sq=final.primal_sq if final else np.nan,
-            final_dual_sq=final.dual_sq if final else np.nan,
-            final_combined=final.combined if final else np.nan,
-            final_beta=final.beta if final else np.nan,
-            final_objective=final.objective if final else np.nan,
+            final=final,
             theta_error=float(np.linalg.norm(result.theta - theta_true)) / scale,
         )
         out.append((cell.name, summary, result.records))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rcadmm.cli import main
+from rcadmm.driver import solve
 from rcadmm.serialize import read_averages_csv, read_data_csv, read_trace_csv
 from rcadmm.simulate import monte_carlo
 import rcadmm.serialize as serialize
@@ -13,6 +14,7 @@ import rcadmm.serialize as serialize
 
 TINY_SCENARIO = {"duration": 10.0, "fine_step": 0.05, "seed": 3}
 TINY_PROBLEM = {"l": 8, "n": 3, "rank": 2}
+FINAL_NAMES = ("primal_sq", "dual_sq", "combined", "beta", "objective")
 
 
 def write_config(path, obj):
@@ -43,6 +45,9 @@ class TestSolveCommand:
         assert len(summary["theta"]) == 8
         assert summary["wall_time_s"] > 0.0
         assert summary["final_combined"] == accepted[-1].combined
+        assert set(summary) == {"termination", "iterations", "wall_time_s", "theta"} | {
+            f"final_{name}" for name in FINAL_NAMES
+        }
 
     def test_tolerance_exits_0(self, tmp_path):
         cfg = solve_config(
@@ -156,12 +161,43 @@ class TestBenchCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"const-beta1", "self-adaptive"}
         for cell in summary.values():
+            assert set(cell) == {"runs", "failures", "mean_theta_error"} | {
+                f"mean_final_{name}" for name in FINAL_NAMES
+            }
             assert cell["runs"] == 2
             assert cell["failures"] == 0
             assert cell["mean_final_combined"] > 0.0
             assert np.isfinite(cell["mean_theta_error"])
         rows = read_averages_csv(out / "const-beta1_mean.csv")
         assert [r[0] for r in rows] == list(range(1, 8))
+
+    def test_failed_run_left_out_of_final_means(self, tmp_path, monkeypatch):
+        spec_path = bench_spec(tmp_path, runs=3)
+        spec = json.loads(open(spec_path).read())
+        scn = serialize.scenario_from_config(spec)
+        cells = serialize.cells_from_config(spec)
+        mc = monte_carlo(scn, cells, 3, l=8, n=3, r=2, base_seed=11, keep_traces=True)
+        calls = {"k": 0}
+
+        def flaky(problem, config, init=None):
+            # The first call is run 0 of the first cell.
+            calls["k"] += 1
+            if calls["k"] == 1:
+                raise np.linalg.LinAlgError("boom")
+            return solve(problem, config, init=init)
+
+        monkeypatch.setattr("rcadmm.simulate.solve", flaky)
+        out = tmp_path / "results"
+        assert main(["bench", "--spec", spec_path, "--jobs", "1", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for cell, kept in (("const-beta1", (1, 2)), ("self-adaptive", (0, 1, 2))):
+            assert summary[cell]["failures"] == 3 - len(kept)
+            finals = [
+                [rec for rec in mc.traces[(cell, run)] if rec.accepted][-1] for run in kept
+            ]
+            for name in FINAL_NAMES:
+                want = np.mean([getattr(rec, name) for rec in finals])
+                assert summary[cell][f"mean_final_{name}"] == pytest.approx(want, rel=1e-12)
 
     def test_averages_match_in_process_study(self, tmp_path):
         spec_path = bench_spec(tmp_path)

@@ -390,6 +390,7 @@ class TestMonteCarlo:
         failed = [s for s in out.summaries if s.termination == "error"]
         assert len(failed) == 1
         assert np.isnan(failed[0].theta_error)
+        assert failed[0].final is None
         total = sum(avg.failures for avg in out.cells.values())
         assert total == 1
 

@@ -18,14 +18,12 @@ from .driver import solve
 from .errors import ConfigError
 from .problem import assemble_problem
 from .serialize import (
-    _require,
-    _section,
-    _settings,
     cells_from_config,
-    driver_config_from,
     load_json,
     problem_dims_from_config,
     scenario_from_config,
+    solver_from_config,
+    study_from_config,
     write_averages_csv,
     write_data_csv,
     write_json,
@@ -50,7 +48,7 @@ def cmd_solve(args):
     cfg = load_json(args.config)
     scenario = scenario_from_config(cfg, seed=args.seed)
     l, n, r = problem_dims_from_config(cfg)
-    config = driver_config_from(_section(cfg, "solver"))
+    config = solver_from_config(cfg)
 
     sim = simulate_relay(scenario)
     problem = assemble_problem(sim.data, l=l, n=n, r=r)
@@ -89,23 +87,14 @@ def cmd_bench(args):
     scenario = scenario_from_config(spec)
     l, n, r = problem_dims_from_config(spec)
     cells = cells_from_config(spec)
-    runs = _require(spec, "runs", "")
+    study = study_from_config(spec)
 
     names = {_safe_name(cell.name) for cell in cells}
     if len(names) != len(cells):
         raise ConfigError("cell names collide after filename sanitization")
 
     out = _out_dir(args)
-    mc = monte_carlo(
-        scenario,
-        cells,
-        runs,
-        l=l,
-        n=n,
-        r=r,
-        jobs=args.jobs,
-        **_settings(spec, ("base_seed",), ""),
-    )
+    mc = monte_carlo(scenario, cells, l=l, n=n, r=r, jobs=args.jobs, **study)
 
     report = {}
     for cell in cells:

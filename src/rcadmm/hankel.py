@@ -63,14 +63,6 @@ class SvdTriple:
     V: np.ndarray
 
 
-def hankel_matrix(x, dims: HankelDims) -> np.ndarray:
-    """Arrange ``x`` into its Hankel matrix with ``dims.n`` columns."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dims.l,):
-        raise ValueError(f"expected vector of length {dims.l}, got shape {x.shape}")
-    return scipy.linalg.hankel(x[: dims.rows], x[dims.rows - 1 :])
-
-
 def fixed_sign_svd(a: np.ndarray) -> SvdTriple:
     """Economy SVD with the deterministic sign convention.
 

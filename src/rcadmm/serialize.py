@@ -1,7 +1,9 @@
-"""File formats: trace/data CSV schemas and JSON config parsing.
+"""File formats: trace/averages/data CSV schemas and JSON config parsing.
 
-Floats are written with repr() so values round-trip exactly and reruns
-can be compared byte for byte.  The trace schema is fixed: changing it
+Each CSV file is its fixed header row, then one row per entry, written
+by `_write_rows` and read back by `_read_rows`.  Floats are written with
+repr() so values round-trip exactly and reruns can be compared byte for
+byte; flags are `true`/`false`.  The trace schema is fixed: changing it
 breaks downstream plotting, so the header is asserted in tests.
 
 JSON configs: absent keys take the defaults of DriverConfig, the strategy
@@ -10,7 +12,7 @@ classes and default_scenario(); a bad value raises ConfigError naming it.
 
 import csv
 import json
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -38,102 +40,74 @@ TRACE_HEADER = [
 
 AVERAGES_HEADER = ["iter", "mean_primal_sq", "mean_dual_sq", "mean_beta"]
 
+DATA_HEADER = ["t", "u", "y"]
+
+_FLAGS = {"true": True, "false": False}
+
 
 def _fmt(value):
     return repr(float(value))
 
 
-def write_trace_csv(path, records, run_id=0):
+def _write_rows(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    run_id,
-                    rec.iteration,
-                    _fmt(rec.beta),
-                    _fmt(rec.primal_sq),
-                    _fmt(rec.dual_sq),
-                    _fmt(rec.combined),
-                    _fmt(rec.objective),
-                    "true" if rec.accepted else "false",
-                    _fmt(rec.dldbeta),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_rows(path, header, kind):
+    """The rows after `header`, which must open the file, as lists of strings."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader)
+        if found != header:
+            raise ConfigError(f"unexpected {kind} header: {found}")
+        return list(reader)
+
+
+def _trace_row(run_id, rec):
+    # IterationRecord's fields are the columns after run_id, in order.
+    iteration, *figures, accepted, dldbeta = astuple(rec)
+    return [run_id, iteration, *map(_fmt, figures), "true" if accepted else "false", _fmt(dldbeta)]
+
+
+def write_trace_csv(path, records, run_id=0):
+    _write_rows(path, TRACE_HEADER, (_trace_row(run_id, rec) for rec in records))
 
 
 def read_trace_csv(path):
     """Returns (run_ids, records) parsed back into IterationRecord."""
     run_ids = []
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_HEADER:
-            raise ConfigError(f"unexpected trace header: {header}")
-        for row in reader:
-            run_ids.append(int(row[0]))
-            records.append(
-                IterationRecord(
-                    iteration=int(row[1]),
-                    beta=float(row[2]),
-                    primal_sq=float(row[3]),
-                    dual_sq=float(row[4]),
-                    combined=float(row[5]),
-                    objective=float(row[6]),
-                    accepted={"true": True, "false": False}[row[7]],
-                    dldbeta=float(row[8]),
-                )
-            )
+    for run_id, iteration, *figures, accepted, dldbeta in _read_rows(path, TRACE_HEADER, "trace"):
+        run_ids.append(int(run_id))
+        records.append(
+            IterationRecord(int(iteration), *map(float, figures), _FLAGS[accepted], float(dldbeta))
+        )
     return run_ids, records
 
 
 def write_data_csv(path, sim):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "u", "y"])
-        for t, u, y in zip(sim.t, sim.u, sim.y):
-            writer.writerow([_fmt(t), _fmt(u), _fmt(y)])
+    _write_rows(path, DATA_HEADER, (map(_fmt, row) for row in zip(sim.t, sim.u, sim.y)))
 
 
 def read_data_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "u", "y"]:
-            raise ConfigError(f"unexpected data header: {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    cols = np.array(rows).T
+    rows = _read_rows(path, DATA_HEADER, "data")
+    cols = np.array([[float(v) for v in row] for row in rows]).T
     return cols[0], cols[1], cols[2]
 
 
 def write_averages_csv(path, averages):
     """Average trajectory for one cell; rows without any run are dropped."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AVERAGES_HEADER)
-        for j in range(averages.sums.shape[1]):
-            if averages.counts[j] == 0:
-                continue
-            writer.writerow(
-                [
-                    j + 1,
-                    _fmt(averages.primal_sq[j]),
-                    _fmt(averages.dual_sq[j]),
-                    _fmt(averages.beta[j]),
-                ]
-            )
+    means = (averages.primal_sq, averages.dual_sq, averages.beta)
+    rows = ([j + 1, *(_fmt(m[j]) for m in means)] for j in np.flatnonzero(averages.counts))
+    _write_rows(path, AVERAGES_HEADER, rows)
 
 
 def read_averages_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != AVERAGES_HEADER:
-            raise ConfigError(f"unexpected averages header: {header}")
-        rows = [(int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader]
-    return rows
+    rows = _read_rows(path, AVERAGES_HEADER, "averages")
+    return [(int(j), *map(float, means)) for j, *means in rows]
 
 
 def write_json(path, obj):
@@ -241,6 +215,15 @@ def scenario_from_config(cfg, seed=None):
     if seed is not None:
         fixed["seed"] = seed
     return _build(base, section, SCENARIO_KEYS, "scenario", **fixed)
+
+
+def solver_from_config(cfg):
+    return driver_config_from(_section(cfg, "solver"))
+
+
+def study_from_config(spec):
+    """The `monte_carlo` keywords of a bench spec: `runs`, and `base_seed` if set."""
+    return {"runs": _require(spec, "runs", ""), **_settings(spec, ("base_seed",), "")}
 
 
 def problem_dims_from_config(cfg):

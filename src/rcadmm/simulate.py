@@ -248,29 +248,29 @@ class CellAverages:
     def iterations(self):
         return np.arange(1, self.sums.shape[1] + 1)
 
-    def _mean(self, row):
+    def _mean(self, name):
         with np.errstate(invalid="ignore"):
-            return self.sums[row] / self.counts
+            return self.sums[REPORT_FIELDS.index(name)] / self.counts
 
     @property
     def primal_sq(self):
-        return self._mean(0)
+        return self._mean("primal_sq")
 
     @property
     def dual_sq(self):
-        return self._mean(1)
+        return self._mean("dual_sq")
 
     @property
     def combined(self):
-        return self._mean(2)
+        return self._mean("combined")
 
     @property
     def beta(self):
-        return self._mean(3)
+        return self._mean("beta")
 
     @property
     def objective(self):
-        return self._mean(4)
+        return self._mean("objective")
 
 
 @dataclass

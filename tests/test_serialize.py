@@ -1,6 +1,7 @@
 """CSV schema round-trips and JSON config parsing."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,22 @@ def sample_records():
     ]
 
 
+def sample_averages():
+    return CellAverages(
+        name="x",
+        sums=np.array(
+            [
+                [2.0, 4.0, 0.0, 0.5],
+                [6.0, 8.0, 0.0, 0.25],
+                [1.0, 1.0, 0.0, 1.0],
+                [2.0, 2.0, 0.0, 3.0],
+                [0.0, 0.0, 0.0, 0.0],
+            ]
+        ),
+        counts=np.array([2.0, 2.0, 0.0, 1.0]),
+    )
+
+
 class TestTraceCsv:
     def test_header_is_exact(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -64,11 +81,9 @@ class TestTraceCsv:
                 np.isnan(got.dldbeta) and np.isnan(want.dldbeta)
             )
 
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ConfigError):
-            read_trace_csv(path)
+    def test_record_fields_follow_header(self):
+        # Trace rows are written and read in field order.
+        assert [f.name for f in fields(IterationRecord)] == ["iteration", *TRACE_HEADER[2:]]
 
 
 class TestDataCsv:
@@ -85,19 +100,7 @@ class TestDataCsv:
 
 class TestAveragesCsv:
     def test_round_trip_skips_empty_rows(self, tmp_path):
-        avg = CellAverages(
-            name="x",
-            sums=np.array(
-                [
-                    [2.0, 4.0, 0.0, 0.5],
-                    [6.0, 8.0, 0.0, 0.25],
-                    [1.0, 1.0, 0.0, 1.0],
-                    [2.0, 2.0, 0.0, 3.0],
-                    [0.0, 0.0, 0.0, 0.0],
-                ]
-            ),
-            counts=np.array([2.0, 2.0, 0.0, 1.0]),
-        )
+        avg = sample_averages()
         path = tmp_path / "avg.csv"
         write_averages_csv(path, avg)
         assert path.read_text().splitlines()[0] == ",".join(AVERAGES_HEADER)
@@ -105,6 +108,51 @@ class TestAveragesCsv:
         assert [r[0] for r in rows] == [1, 2, 4]
         assert rows[0] == (1, 1.0, 3.0, 1.0)
         assert rows[2] == (4, 0.5, 0.25, 3.0)
+
+
+SAMPLE_SIM = SimpleNamespace(
+    t=np.array([0.0, 0.5]), u=np.array([1.0, -1.0]), y=np.array([0.1, -0.0078125])
+)
+
+
+@pytest.mark.parametrize(
+    "write, text",
+    [
+        (
+            lambda path: write_trace_csv(path, sample_records(), run_id=7),
+            "run_id,iter,beta,primal_sq,dual_sq,combined,objective,accepted,dldbeta\n"
+            "7,1,1.0,0.25,0.125,0.375,2.0,true,-0.0078125\n"
+            "7,2,1.05,0.2,0.1,0.31,1.9,false,nan\n"
+            "7,2,1.05,1e-17,3e-19,1.03e-17,1.9,true,nan\n",
+        ),
+        (
+            lambda path: write_data_csv(path, SAMPLE_SIM),
+            "t,u,y\n0.0,1.0,0.1\n0.5,-1.0,-0.0078125\n",
+        ),
+        (
+            lambda path: write_averages_csv(path, sample_averages()),
+            "iter,mean_primal_sq,mean_dual_sq,mean_beta\n"
+            "1,1.0,3.0,1.0\n2,2.0,4.0,1.0\n4,0.5,0.25,3.0\n",
+        ),
+    ],
+    ids=["trace", "data", "averages"],
+)
+def test_writers_golden_bytes(tmp_path, write, text):
+    path = tmp_path / "out.csv"
+    write(path)
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
+    "read, kind",
+    [(read_trace_csv, "trace"), (read_data_csv, "data"), (read_averages_csv, "averages")],
+    ids=["trace", "data", "averages"],
+)
+def test_header_mismatch_rejected(tmp_path, read, kind):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n1,2\n")
+    with pytest.raises(ConfigError, match=f"unexpected {kind} header"):
+        read(path)
 
 
 class TestStrategyConfig:

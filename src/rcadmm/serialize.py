@@ -60,7 +60,9 @@ def _read_rows(path, header, kind):
     """The rows after `header`, which must open the file, as lists of strings."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader)
+        found = next(reader, None)
+        if found is None:
+            raise ConfigError(f"empty {kind} file: {path}")
         if found != header:
             raise ConfigError(f"unexpected {kind} header: {found}")
         return list(reader)
@@ -94,7 +96,8 @@ def write_data_csv(path, sim):
 
 def read_data_csv(path):
     rows = _read_rows(path, DATA_HEADER, "data")
-    cols = np.array([[float(v) for v in row] for row in rows]).T
+    values = [[float(v) for v in row] for row in rows]
+    cols = np.array(values).reshape(len(rows), len(DATA_HEADER)).T
     return cols[0], cols[1], cols[2]
 
 

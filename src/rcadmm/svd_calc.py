@@ -2,18 +2,29 @@
 
 The Z block truncates Omega(beta) = -H_n(theta) + Lam / beta, so
 d(Omega)/d(beta) = -Lam / beta^2. With the economy SVD Omega = U S V' and
-Theta = U' dOmega V, the factor sensitivities are the classical
-perturbation expressions
+Theta = U' dOmega V, the solver differentiates the rank-r truncation Z in
+that basis: U' dZ V = M with
+
+    M_ij = Theta_ij                                           i, j <= r
+    M_ij = s_i (s_i Theta_ij + s_j Theta_ji) / (s_i^2 - s_j^2)   i <= r < j
+    M_ij = s_j (s_j Theta_ij + s_i Theta_ji) / (s_j^2 - s_i^2)   j <= r < i
+    M_ij = 0                                                  r < i, j
+
+and dZ = U M V' + (dOmega V_r - U Theta[:, :r]) V_r', the last term being
+the part of dOmega V_r outside the range of U. The e block follows by
+differentiating the closed-form e update, and dw = [vec(dZ); de] is
+stacked for the penalty rule.
+
+The factor route is kept as the reference: the classical perturbation
+expressions
 
     dS = I o Theta
     dU = U (G o [Theta S + S Theta']) + (I - U U') dOmega V S^{-1}
     dV = V (G o [S Theta + Theta' S]) + (I - V V') dOmega' U S^{-1}
     G_ij = 1 / (s_j^2 - s_i^2),  G_ii = 0,
 
-valid only while the spectrum is simple and nonzero. The truncated block
-and the e block then follow by the product rule and by differentiating the
-closed-form e update. Everything is stacked into dw = [vec(dZ); de] for
-the penalty rule.
+then the product rule through the kept triplets (`z_derivative`). Both
+routes hold only while the spectrum is simple and nonzero.
 """
 from __future__ import annotations
 
@@ -51,13 +62,10 @@ def gain_matrix(s: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def svd_factor_derivatives(
-    svd: SvdTriple, d_omega: np.ndarray, cols: int | None = None
+    svd: SvdTriple, d_omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dU, ds, dV) for a simple, strictly positive spectrum.
 
-    ``cols`` limits dU and dV to their leading columns (all by default);
-    the gains still couple every pair, so the columns kept are those of
-    the full result.
     Raises SensitivityUnavailable on ties or a zero tail; the truncation
     is not differentiable there and callers fall back to holding beta.
     """
@@ -67,13 +75,11 @@ def svd_factor_derivatives(
     u, s, v = svd.U, svd.s, svd.V
     theta = u.T @ d_omega @ v
     ds = np.diag(theta).copy()
-    k = s.size if cols is None else cols
-    g, sk = g[:, :k], s[:k]
     # Range components rotate through the gains, complements enter directly.
-    x = (d_omega @ v[:, :k]) / sk
-    du = u @ (g * (theta[:, :k] * sk + s[:, None] * theta[:k].T)) + x - u @ (u.T @ x)
-    y = (d_omega.T @ u[:, :k]) / sk
-    dv = v @ (g * (s[:, None] * theta[:, :k] + theta[:k].T * sk)) + y - v @ (v.T @ y)
+    x = (d_omega @ v) / s
+    du = u @ (g * (theta * s + s[:, None] * theta.T)) + x - u @ (u.T @ x)
+    y = (d_omega.T @ u) / s
+    dv = v @ (g * (s[:, None] * theta + theta.T * s)) + y - v @ (v.T @ y)
     return du, ds, dv
 
 
@@ -106,10 +112,24 @@ def w_derivative(
 
     ``theta`` and ``lam_mat`` are the pre-step values the update consumed,
     ``svd``/``e_new`` its outputs. Raises SensitivityUnavailable when the
-    spectrum does not admit the factor derivatives.
+    spectrum is degenerate, as `svd_factor_derivatives` does.
     """
+    if spectrum_degenerate(svd.s):
+        raise SensitivityUnavailable("singular-value spectrum is degenerate")
+    r = problem.r
+    u, s, v = svd.U, svd.s, svd.V
     d_omega = -lam_mat / beta**2
-    du, ds, dv = svd_factor_derivatives(svd, d_omega, problem.r)
-    dz = z_derivative(svd, du, ds, dv, problem.r)
+    dov = d_omega @ v
+    t = u.T @ dov
+    # M's kept/discarded blocks are the curvature of the rank-r set; its
+    # kept block and the complement term are the tangent part.
+    sk, sd = s[:r, None], s[None, r:]
+    upper, lower = t[:r, r:], t[r:, :r].T
+    gap = sk * sk - sd * sd
+    m = np.zeros_like(t)
+    m[:r, :r] = t[:r, :r]
+    m[:r, r:] = sk * (sk * upper + sd * lower) / gap
+    m[r:, :r] = (sk * (sk * lower + sd * upper) / gap).T
+    dz = u @ m @ v.T + (dov[:, :r] - u @ t[:, :r]) @ v[:, :r].T
     de = e_derivative(problem, theta, e_new, beta)
     return problem.stack_w(dz, de)

@@ -97,6 +97,12 @@ class TestDataCsv:
         assert np.array_equal(u, sim.u)
         assert np.array_equal(y, sim.y)
 
+    def test_header_only_gives_empty_arrays(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,u,y\n")
+        for col in read_data_csv(path):
+            assert col.dtype == float and col.shape == (0,)
+
 
 class TestAveragesCsv:
     def test_round_trip_skips_empty_rows(self, tmp_path):
@@ -143,15 +149,26 @@ def test_writers_golden_bytes(tmp_path, write, text):
     assert path.read_bytes() == text.encode()
 
 
-@pytest.mark.parametrize(
+READERS = pytest.mark.parametrize(
     "read, kind",
     [(read_trace_csv, "trace"), (read_data_csv, "data"), (read_averages_csv, "averages")],
     ids=["trace", "data", "averages"],
 )
+
+
+@READERS
 def test_header_mismatch_rejected(tmp_path, read, kind):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ConfigError, match=f"unexpected {kind} header"):
+        read(path)
+
+
+@READERS
+def test_empty_file_rejected(tmp_path, read, kind):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ConfigError, match=f"empty {kind} file"):
         read(path)
 
 

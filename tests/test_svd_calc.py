@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcadmm import svd_calc
 from rcadmm.admm import update_w
+from rcadmm.driver import DriverConfig, solve
 from rcadmm.errors import SensitivityUnavailable
 from rcadmm.hankel import SvdTriple, fixed_sign_svd
+from rcadmm.penalty import SelfAdaptivePenalty
 from rcadmm.problem import RegressionData, assemble_problem
 from rcadmm.svd_calc import (
     e_derivative,
@@ -174,31 +179,6 @@ class TestFactorDerivatives:
             ):
                 assert_bitwise(got, want)
 
-    @pytest.mark.parametrize("l, n", [(60, 20), (120, 40)])
-    def test_leading_columns_bitwise_at_solver_rank(self, l, n):
-        # w_derivative asks for the problem's r = 8 columns on the
-        # benchmark's 41x20 and 81x40 blocks; there they are the full
-        # result's columns bit for bit.
-        for seed in range(5):
-            svd, d_omega = workload_omega(l, n, seed)
-            full = reference_factor_derivatives(svd, d_omega)
-            du, ds, dv = svd_factor_derivatives(svd, d_omega, 8)
-            assert_bitwise(du, full[0][:, :8])
-            assert_bitwise(ds, full[1])
-            assert_bitwise(dv, full[2][:, :8])
-
-    def test_leading_columns_match_full_at_every_width(self):
-        # BLAS picks its kernel by the product's width, so some widths
-        # round differently in the last bit; the values agree to 1e-14.
-        svd, d_omega = workload_omega(60, 20, seed=3)
-        full = reference_factor_derivatives(svd, d_omega)
-        for k in range(1, 21):
-            du, ds, dv = svd_factor_derivatives(svd, d_omega, k)
-            assert du.shape == (41, k) and dv.shape == (20, k)
-            np.testing.assert_array_equal(ds, full[1])
-            for got, want in ((du, full[0][:, :k]), (dv, full[2][:, :k])):
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
     def test_degenerate_spectrum_raises(self):
         svd = fixed_sign_svd(np.diag([2.0, 1.0, 1.0, 0.5]))
         with pytest.raises(SensitivityUnavailable):
@@ -283,3 +263,78 @@ class TestBlockDerivatives:
         degenerate_svd = fixed_sign_svd(np.diag([2.0, 1.0, 1.0, 0.5]))
         with pytest.raises(SensitivityUnavailable):
             w_derivative(prob, theta, lam_mat, beta, degenerate_svd, e_new)
+
+
+def factor_route_w_derivative(prob, theta, lam_mat, beta, svd, e_new):
+    # dU, ds, dV through the gains, then the product rule: the reference.
+    du, ds, dv = svd_factor_derivatives(svd, -lam_mat / beta**2)
+    dz = z_derivative(svd, du, ds, dv, prob.r)
+    return prob.stack_w(dz, e_derivative(prob, theta, e_new, beta))
+
+
+def assert_close_relative(actual, expected, rtol):
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@st.composite
+def planted_blocks(draw):
+    """A tall SVD whose adjacent singular values differ by at least 20%,
+    and by at least 50% across the cut at r."""
+    n = draw(st.integers(2, 12))
+    rows = n + draw(st.integers(0, 10))
+    r = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratios = rng.uniform(1.2, 2.0, size=n - 1)
+    ratios[r - 1] = rng.uniform(1.5, 4.0)
+    s = np.concatenate([[1.0], 1.0 / np.cumprod(ratios)])
+    u = np.linalg.qr(rng.normal(size=(rows, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return rows, n, r, fixed_sign_svd((u * s) @ v.T), rng
+
+
+class TestBasisRoute:
+    @pytest.mark.parametrize(
+        "l, n, r", [(60, 20, 8), (120, 40, 8), (60, 20, 19), (60, 20, 1)]
+    )
+    def test_matches_factor_route(self, l, n, r):
+        for seed in range(5):
+            prob, theta, lam_mat, lam_vec, beta, _ = make_instance(
+                200 + seed, l=l, n=n, r=r, n_samples=40
+            )
+            _, e_new, svd = update_w(prob, theta, lam_mat, lam_vec, beta)
+            assert_close_relative(
+                w_derivative(prob, theta, lam_mat, beta, svd, e_new),
+                factor_route_w_derivative(prob, theta, lam_mat, beta, svd, e_new),
+                1e-13,
+            )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(planted_blocks())
+    def test_planted_gap_matches_factor_route(self, case):
+        rows, n, r, svd, rng = case
+        prob = assemble_problem(
+            RegressionData(rng.normal(size=5), rng.normal(size=5)), rows + n - 1, n, r
+        )
+        theta = rng.normal(size=prob.l)
+        lam_mat = rng.normal(size=(rows, n))
+        e_new = rng.normal(size=5)
+        beta = float(rng.uniform(0.1, 10.0))
+        assert_close_relative(
+            w_derivative(prob, theta, lam_mat, beta, svd, e_new),
+            factor_route_w_derivative(prob, theta, lam_mat, beta, svd, e_new),
+            1e-13,
+        )
+
+    def test_solver_calls_no_reference(self, monkeypatch):
+        def reference_called(*args, **kwargs):
+            raise AssertionError("the solver path called a reference route")
+
+        monkeypatch.setattr(svd_calc, "svd_factor_derivatives", reference_called)
+        monkeypatch.setattr(svd_calc, "z_derivative", reference_called)
+        prob = make_instance(16, l=60, n=20, r=8, n_samples=100)[0]
+        result = solve(
+            prob, DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60)
+        )
+        slopes = [rec.dldbeta for rec in result.records if rec.accepted]
+        assert len(slopes) == 61
+        assert np.all(np.isfinite(slopes))

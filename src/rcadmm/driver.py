@@ -14,6 +14,10 @@ self-adaptive rule remains usable at accelerated iterates.
 The plain iteration is the same loop with the window left empty (depth
 m = 0) and every step accepted, as the forced plain step from the
 recorded point after a rejection already is.
+
+``solve`` is the one place that decides how a run ends, numerical
+breakdown included; callers read ``SolveResult.termination`` and catch
+nothing.
 """
 
 from collections import deque
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admm import admm_step, initial_state, residuals
-from .errors import NumericFailure
 from .penalty import ConstantPenalty, increment_diagnostics, update_penalty
 
 # Columns closer than this (relative) to singular get Tikhonov damping.
@@ -184,8 +187,12 @@ def solve(problem, config=None, init=None):
     """Run the driver loop and return the last accepted estimate.
 
     Acceleration on gives the guarded extrapolated iteration; off gives
-    the plain always-accept loop.  Numeric breakdown inside a sweep ends
-    the run early with the trace collected so far.
+    the plain always-accept loop.  ``termination`` is ``"tolerance"``,
+    ``"max_iterations"`` or ``"numeric-failure"``; the last is a
+    non-finite residual at the recorded point or LAPACK non-convergence
+    (``LinAlgError``).  Neither raises: the run ends early with the trace
+    collected so far and ``theta`` of the last accepted step (the start
+    when none was accepted).
     """
     config = config or DriverConfig()
     state = init if init is not None else initial_state(problem)
@@ -215,7 +222,8 @@ def solve(problem, config=None, init=None):
             # backtracking; from the recorded point there is nothing left
             # to back off to.
             if not np.isfinite(eps) and reset:
-                raise NumericFailure("combined residual is not finite")
+                termination = "numeric-failure"
+                break
 
             accepted = reset or eps < eps_prev
             alpha = None
@@ -275,7 +283,8 @@ def solve(problem, config=None, init=None):
             if eps < config.eps_tol:
                 termination = "tolerance"
                 break
-    except (NumericFailure, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
+        # LAPACK did not converge inside a sweep or an Anderson solve.
         termination = "numeric-failure"
 
     return SolveResult(

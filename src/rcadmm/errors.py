@@ -10,7 +10,11 @@ class SensitivityUnavailable(RuntimeError):
 
 
 class NumericFailure(RuntimeError):
-    """Numerical blow-up inside simulation or iteration."""
+    """The relay simulation diverged; only the simulator raises this.
+
+    A solve never raises it: numerical breakdown ends the run with
+    ``termination == "numeric-failure"``.
+    """
 
 
 class ConfigError(ValueError):

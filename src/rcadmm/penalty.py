@@ -40,13 +40,11 @@ class IncrementDiagnostics:
     """Augmented Lagrangian increment of one w-sweep and its beta-slope.
 
     ``slope`` is None when the sweep's SVD was too degenerate to
-    differentiate.  ``terms`` keeps the additive pieces of the increment
-    for logging.
+    differentiate.
     """
 
     delta_l: float
     slope: float | None
-    terms: dict
 
 
 def _increment_parts(problem, w_prev, theta_prev, w_new):
@@ -122,7 +120,7 @@ def increment_diagnostics(problem, w_prev, theta_prev, mu_prev, iterate):
     the slope unavailable; the increment value itself is always defined.
     """
     parts = _increment_parts(problem, w_prev, theta_prev, iterate.w)
-    value, terms = lagrangian_increment(
+    value, _ = lagrangian_increment(
         problem, w_prev, theta_prev, mu_prev, iterate.w, iterate.beta, parts
     )
     lam_mat, _ = problem.split_mu(mu_prev)
@@ -131,11 +129,11 @@ def increment_diagnostics(problem, w_prev, theta_prev, mu_prev, iterate):
             problem, theta_prev, lam_mat, iterate.beta, iterate.svd, iterate.e
         )
     except SensitivityUnavailable:
-        return IncrementDiagnostics(value, None, terms)
+        return IncrementDiagnostics(value, None)
     slope = increment_slope(
         problem, w_prev, theta_prev, mu_prev, iterate.w, dw, iterate.beta, parts
     )
-    return IncrementDiagnostics(value, slope, terms)
+    return IncrementDiagnostics(value, slope)
 
 
 @dataclass(frozen=True)

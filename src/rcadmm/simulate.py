@@ -20,19 +20,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .admm import REPORT_FIELDS, initial_state
-from .driver import DriverConfig, SolveResult, solve
-from .errors import IllConditionedError, NumericFailure, SensitivityUnavailable
+from .driver import DriverConfig, solve
+from .errors import NumericFailure
 from .problem import RegressionData, assemble_problem
 
 STATE_NORM_LIMIT = 1e12
-
-# What a solve raises on bad numbers; anything else is a bug and propagates.
-SOLVE_ERRORS = (
-    IllConditionedError,
-    NumericFailure,
-    SensitivityUnavailable,
-    np.linalg.LinAlgError,
-)
 
 
 @dataclass(frozen=True)
@@ -290,8 +282,6 @@ def _accumulate(avg, records):
         if not record.accepted:
             continue
         j = record.iteration - 1
-        if j >= avg.sums.shape[1]:
-            continue
         avg.sums[:, j] += [getattr(record, name) for name in REPORT_FIELDS]
         avg.counts[j] += 1
 
@@ -304,13 +294,7 @@ def _run_cells(scn, cells, base_seed, l, n, r, theta_true, run):
     scale = float(np.linalg.norm(theta_true))
     out = []
     for cell in cells:
-        try:
-            result = solve(problem, cell.config, init=init)
-        except SOLVE_ERRORS:
-            # Counted as an "error" run with no trace and no estimate.
-            result = SolveResult(
-                theta=np.full(l, np.nan), records=[], termination="error", iterations=0
-            )
+        result = solve(problem, cell.config, init=init)
         rec = result.final
         final = {name: getattr(rec, name) for name in REPORT_FIELDS} if rec else None
         summary = RunSummary(
@@ -342,7 +326,9 @@ def monte_carlo(
     Run i regenerates data with seed base_seed + i and reuses the same
     problem and initial iterate for every cell, so strategy comparisons
     are paired.  Averages are over accepted records at each iteration
-    index; failed runs are counted and skipped in the averages.
+    index.  ``failures`` counts the runs that ``solve`` ended
+    ``"numeric-failure"``; the rows such a run accepted before it
+    failed still enter the averages.  Any exception propagates.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -370,7 +356,7 @@ def monte_carlo(
             summaries.append(summary)
             avg = averages[name]
             avg.runs += 1
-            if summary.termination in ("error", "numeric-failure"):
+            if summary.termination == "numeric-failure":
                 avg.failures += 1
             _accumulate(avg, records)
             if traces is not None:

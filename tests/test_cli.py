@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rcadmm.cli import main
-from rcadmm.driver import solve
 from rcadmm.serialize import read_averages_csv, read_data_csv, read_trace_csv
 from rcadmm.simulate import monte_carlo
 import rcadmm.serialize as serialize
@@ -171,33 +170,41 @@ class TestBenchCommand:
         rows = read_averages_csv(out / "const-beta1_mean.csv")
         assert [r[0] for r in rows] == list(range(1, 8))
 
-    def test_failed_run_left_out_of_final_means(self, tmp_path, monkeypatch):
+    def test_failed_run_left_out_of_final_means(self, tmp_path, nan_first_run):
         spec_path = bench_spec(tmp_path, runs=3)
         spec = json.loads(open(spec_path).read())
         scn = serialize.scenario_from_config(spec)
         cells = serialize.cells_from_config(spec)
-        mc = monte_carlo(scn, cells, 3, l=8, n=3, r=2, base_seed=11, keep_traces=True)
-        calls = {"k": 0}
-
-        def flaky(problem, config, init=None):
-            # The first call is run 0 of the first cell.
-            calls["k"] += 1
-            if calls["k"] == 1:
-                raise np.linalg.LinAlgError("boom")
-            return solve(problem, config, init=init)
-
-        monkeypatch.setattr("rcadmm.simulate.solve", flaky)
         out = tmp_path / "results"
         assert main(["bench", "--spec", spec_path, "--jobs", "1", "--out", str(out)]) == 0
+        # Only the first study's run 0 starts from NaN, so this reference
+        # study has the command's runs 1 and 2.
+        mc = monte_carlo(scn, cells, 3, l=8, n=3, r=2, base_seed=11, keep_traces=True)
         summary = json.loads((out / "summary.json").read_text())
-        for cell, kept in (("const-beta1", (1, 2)), ("self-adaptive", (0, 1, 2))):
-            assert summary[cell]["failures"] == 3 - len(kept)
-            finals = [
-                [rec for rec in mc.traces[(cell, run)] if rec.accepted][-1] for run in kept
+        kept = (1, 2)
+        for cell in ("const-beta1", "self-adaptive"):
+            assert summary[cell]["runs"] == 3
+            assert summary[cell]["failures"] == 1
+            errors = [
+                s.theta_error for s in mc.summaries if s.cell == cell and s.run in kept
+            ]
+            assert summary[cell]["mean_theta_error"] == pytest.approx(
+                np.mean(errors), rel=1e-12
+            )
+            accepted = [
+                [rec for rec in mc.traces[(cell, run)] if rec.accepted] for run in kept
             ]
             for name in FINAL_NAMES:
-                want = np.mean([getattr(rec, name) for rec in finals])
+                want = np.mean([getattr(recs[-1], name) for recs in accepted])
                 assert summary[cell][f"mean_final_{name}"] == pytest.approx(want, rel=1e-12)
+            # Each averages row is the mean over the two runs that did not fail.
+            rows = read_averages_csv(out / f"{cell}_mean.csv")
+            assert [row[0] for row in rows] == list(range(1, 8))
+            for j, primal, dual, beta in rows:
+                at_j = [recs[j - 1] for recs in accepted]
+                for got, name in ((primal, "primal_sq"), (dual, "dual_sq"), (beta, "beta")):
+                    want = np.mean([getattr(rec, name) for rec in at_j])
+                    assert got == pytest.approx(want, rel=1e-12)
 
     def test_averages_match_in_process_study(self, tmp_path):
         spec_path = bench_spec(tmp_path)

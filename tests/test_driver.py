@@ -421,6 +421,25 @@ class TestSolve:
         np.testing.assert_array_equal(result.theta, bad.theta)
         assert result.final is None
 
+    @pytest.mark.parametrize("acceleration", [True, False])
+    def test_nan_start_ends_numeric_failure(self, acceleration):
+        # LAPACK's SVD does not converge on the first sweep from a NaN
+        # start; solve ends the run there instead of raising.
+        prob = small_problem(5)
+        state = initial_state(prob)
+        bad = InitialState(theta=np.full(prob.l, np.nan), w=state.w, mu=state.mu)
+        with pytest.raises(np.linalg.LinAlgError):
+            admm_step(prob, bad.theta, bad.mu, 1.0)
+        result = solve(
+            prob,
+            DriverConfig(beta0=1.0, k_max=20, acceleration=acceleration),
+            init=bad,
+        )
+        assert result.termination == "numeric-failure"
+        assert result.records == []
+        assert result.iterations == 0
+        np.testing.assert_array_equal(result.theta, bad.theta)
+
     def test_final_is_last_accepted_record(self):
         result = solve(
             small_problem(6),

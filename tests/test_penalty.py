@@ -96,9 +96,9 @@ class TestUpdateRules:
 
     def test_self_adaptive_branches(self):
         rule = SelfAdaptivePenalty(rho_inc=1.05, rho_dec=1.02)
-        down = IncrementDiagnostics(-0.3, -1.0, {})
-        up = IncrementDiagnostics(-0.3, 1.0, {})
-        missing = IncrementDiagnostics(-0.3, None, {})
+        down = IncrementDiagnostics(-0.3, -1.0)
+        up = IncrementDiagnostics(-0.3, 1.0)
+        missing = IncrementDiagnostics(-0.3, None)
         assert update_penalty(rule, 1.0, None, down) == 1.05
         assert update_penalty(rule, 1.0, None, up) == 1.0 / 1.02
         assert update_penalty(rule, 1.0, None, missing) == 1.0
@@ -107,15 +107,15 @@ class TestUpdateRules:
     def test_self_adaptive_dead_zone_is_relative(self):
         rule = SelfAdaptivePenalty()
         # Threshold at delta_l = 2 is 3e-12.
-        inside = IncrementDiagnostics(2.0, 2e-12, {})
-        outside = IncrementDiagnostics(2.0, 5e-12, {})
+        inside = IncrementDiagnostics(2.0, 2e-12)
+        outside = IncrementDiagnostics(2.0, 5e-12)
         assert update_penalty(rule, 1.0, None, inside) == 1.0
         assert update_penalty(rule, 1.0, None, outside) == 1.0 / 1.02
 
     def test_clamping(self):
         rule = SelfAdaptivePenalty()
-        grow = IncrementDiagnostics(0.0, -1.0, {})
-        shrink = IncrementDiagnostics(0.0, 1.0, {})
+        grow = IncrementDiagnostics(0.0, -1.0)
+        shrink = IncrementDiagnostics(0.0, 1.0)
         assert update_penalty(rule, BETA_MAX, None, grow) == BETA_MAX
         assert update_penalty(rule, 1.01 * BETA_MIN, None, shrink) == BETA_MIN
 
@@ -125,7 +125,7 @@ class TestUpdateRules:
         beta = 1.0
         for _ in range(200):
             slope = float(rng.choice([-1.0, 0.0, 1.0]))
-            new = update_penalty(rule, beta, None, IncrementDiagnostics(0.1, slope, {}))
+            new = update_penalty(rule, beta, None, IncrementDiagnostics(0.1, slope))
             assert new in (beta * 1.05, beta, beta / 1.02)
             beta = new
 

@@ -376,26 +376,31 @@ class TestMonteCarlo:
         )
         assert serial.summaries == parallel.summaries
 
-    def test_failures_counted_without_aborting(self, monkeypatch):
-        calls = {"k": 0}
-
-        def flaky(problem, config, init=None):
-            calls["k"] += 1
-            if calls["k"] == 1:
-                raise np.linalg.LinAlgError("boom")
-            return solve(problem, config, init=init)
-
-        monkeypatch.setattr("rcadmm.simulate.solve", flaky)
-        out = monte_carlo(tiny_scenario(), tiny_cells(), runs=2, **TINY)
-        failed = [s for s in out.summaries if s.termination == "error"]
-        assert len(failed) == 1
-        assert np.isnan(failed[0].theta_error)
-        assert failed[0].final is None
-        total = sum(avg.failures for avg in out.cells.values())
-        assert total == 1
+    def test_failures_counted_without_aborting(self, nan_first_run):
+        out = monte_carlo(
+            tiny_scenario(), tiny_cells(), runs=2, keep_traces=True, **TINY
+        )
+        assert len(nan_first_run) == 2
+        for summary in out.summaries:
+            if summary.run == 0:
+                assert summary.termination == "numeric-failure"
+                assert summary.final is None
+                assert np.isnan(summary.theta_error)
+            else:
+                assert summary.termination == "max_iterations"
+                assert np.isfinite(summary.theta_error)
+        for name, avg in out.cells.items():
+            assert (avg.runs, avg.failures) == (2, 1)
+            assert out.traces[(name, 0)] == []
+            # The failed run adds no row, so each mean is run 1's trace.
+            kept = [rec for rec in out.traces[(name, 1)] if rec.accepted]
+            assert np.all(avg.counts == 1.0)
+            for field_name in ("primal_sq", "dual_sq", "beta"):
+                want = [getattr(rec, field_name) for rec in kept]
+                assert np.array_equal(getattr(avg, field_name), want)
 
     def test_unexpected_error_propagates(self, monkeypatch):
-        # Only numeric failures count as "error" runs; a bug is not one.
+        # Only solve decides a failure; anything it raises is a bug.
         def broken(problem, config, init=None):
             raise TypeError("bug")
 

@@ -4,7 +4,9 @@ The sweep depends only on (theta, mu), so the solver iterates the map
 ``xi -> G(xi)`` on the stacked vector xi = [theta; mu].  Anderson
 extrapolation accelerates that map using a short window of past steps;
 a combined-residual test guards each accelerated iterate and backtracks
-to the last accepted plain step when extrapolation makes things worse.
+to the recorded step when extrapolation makes things worse.  The
+recorded step is the start, then the last accepted sweep; it holds the
+(theta, mu, w) a rejection restarts from and the theta a run returns.
 
 The carried w block is extrapolated with the same coefficients as xi.
 The combination is affine (coefficients sum to one), which preserves the
@@ -43,9 +45,9 @@ class DriverConfig:
     collect_states: bool = False
 
     def __post_init__(self):
-        if self.beta0 <= 0.0:
+        if not self.beta0 > 0.0:
             raise ValueError("beta0 must be positive")
-        if self.eps_tol <= 0.0:
+        if not self.eps_tol > 0.0:
             raise ValueError("eps_tol must be positive")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
@@ -76,7 +78,6 @@ class LoopState:
     step_theta: np.ndarray
     step_mu: np.ndarray
     step_w: np.ndarray
-    eps: float
     accepted: bool
     alpha: np.ndarray | None
     theta_next: np.ndarray
@@ -102,46 +103,39 @@ class AndersonWindow:
 
     Each entry holds the step output g = G(xi), the fixed-point residual
     eta = g - xi, and the w block produced alongside g.  Capacity is
-    m_max + 1 points, enough for m_max difference columns.
+    m_max + 1 entries, enough for m_max difference columns.
     """
 
     def __init__(self, m_max):
-        if m_max < 0:
-            raise ValueError("m_max must be nonnegative")
-        self._g = deque(maxlen=m_max + 1)
-        self._eta = deque(maxlen=m_max + 1)
-        self._w = deque(maxlen=m_max + 1)
+        self._entries = deque(maxlen=m_max + 1)
 
     def push(self, g, eta, w):
-        self._g.append(g)
-        self._eta.append(eta)
-        self._w.append(w)
+        self._entries.append((g, eta, w))
 
     def clear(self):
-        self._g.clear()
-        self._eta.clear()
-        self._w.clear()
+        self._entries.clear()
 
     @property
     def depth(self):
-        return max(0, len(self._g) - 1)
+        return max(0, len(self._entries) - 1)
 
     @property
     def latest_eta(self):
-        return self._eta[-1]
+        return self._entries[-1][1]
 
     def difference_matrix(self, m):
         # Column j is eta(k-j+1) - eta(k-j), newest difference first.
-        cols = [self._eta[-j] - self._eta[-j - 1] for j in range(1, m + 1)]
-        return np.column_stack(cols)
+        e = self._entries
+        return np.column_stack([e[-j][1] - e[-j - 1][1] for j in range(1, m + 1)])
 
     def combine(self, alpha):
         """Affine extrapolation of the g sequence and its w companions."""
-        xi = self._g[-1].copy()
-        w = self._w[-1].copy()
+        g, _, w = self._entries[-1]
+        xi, w = g.copy(), w.copy()
         for j, a in enumerate(alpha, start=1):
-            xi -= a * (self._g[-j] - self._g[-j - 1])
-            w -= a * (self._w[-j] - self._w[-j - 1])
+            (g1, _, w1), (g0, _, w0) = self._entries[-j], self._entries[-j - 1]
+            xi -= a * (g1 - g0)
+            w -= a * (w1 - w0)
         return xi, w
 
 
@@ -195,12 +189,12 @@ def solve(problem, config=None, init=None):
     when none was accepted).
     """
     config = config or DriverConfig()
-    state = init if init is not None else initial_state(problem)
+    # The recorded step: the start, then the last accepted sweep.
+    rec = init if init is not None else initial_state(problem)
     strategy = config.strategy
     plain = not config.acceleration
-    theta, mu, w = state.theta, state.mu, state.w
+    theta, mu, w = rec.theta, rec.mu, rec.w
     xi = np.concatenate([theta, mu])
-    theta_rec, mu_rec, w_rec = theta, mu, w
     beta = config.beta0
     eps_prev = np.inf
     # A plain step is always taken from the recorded point, unguarded.
@@ -213,7 +207,7 @@ def solve(problem, config=None, init=None):
 
     try:
         while True:
-            theta_in, mu_in, k_in, beta_in = theta, mu, k, beta
+            theta_in, mu_in = theta, mu
             step = admm_step(problem, theta, mu, beta)
             report = residuals(problem, theta, step)
             eps = report.combined
@@ -231,7 +225,7 @@ def solve(problem, config=None, init=None):
                 g = np.concatenate([step.theta, step.mu])
                 if not plain:
                     window.push(g, g - xi, step.w)
-                theta_rec, mu_rec, w_rec = step.theta, step.mu, step.w
+                rec = step
                 eps_prev = eps
                 reset = plain
 
@@ -239,37 +233,33 @@ def solve(problem, config=None, init=None):
                 if strategy.needs_increment:
                     diag = increment_diagnostics(problem, w, theta, mu, step)
 
-                m = window.depth
-                if m >= 1:
+                xi, w = g, step.w
+                if window.depth >= 1:
                     alpha = anderson_coefficients(
-                        window.difference_matrix(m), window.latest_eta
+                        window.difference_matrix(window.depth), window.latest_eta
                     )
                     xi, w = window.combine(alpha)
-                else:
-                    xi, w = g, step.w
-                theta, mu = xi[: problem.l], xi[problem.l :]
 
                 beta = update_penalty(strategy, beta, report, diag)
                 k += 1
                 records.append(_record(k, report, True, _slope_value(diag)))
             else:
                 records.append(_record(k + 1, report, False, float("nan")))
-                theta, mu, w = theta_rec, mu_rec, w_rec
-                xi = np.concatenate([theta, mu])
+                xi, w = np.concatenate([rec.theta, rec.mu]), rec.w
                 reset = True
                 window.clear()
+            theta, mu = xi[: problem.l], xi[problem.l :]
 
             if states is not None:
                 states.append(
                     LoopState(
-                        count=k_in,
-                        beta=beta_in,
+                        count=k - accepted,
+                        beta=step.beta,
                         theta_start=theta_in,
                         mu_start=mu_in,
                         step_theta=step.theta,
                         step_mu=step.mu,
                         step_w=step.w,
-                        eps=eps,
                         accepted=accepted,
                         alpha=alpha,
                         theta_next=theta,
@@ -288,7 +278,7 @@ def solve(problem, config=None, init=None):
         termination = "numeric-failure"
 
     return SolveResult(
-        theta=theta_rec,
+        theta=rec.theta,
         records=records,
         termination=termination,
         iterations=k,

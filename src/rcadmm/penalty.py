@@ -155,9 +155,9 @@ class MultiplicativePenalty:
     needs_increment = False
 
     def __post_init__(self):
-        if self.rho <= 1.0:
+        if not self.rho > 1.0:
             raise ValueError("rho must exceed 1")
-        if self.beta_max <= 0.0:
+        if not self.beta_max > 0.0:
             raise ValueError("beta_max must be positive")
 
     def update(self, beta, residual=None, increment=None):
@@ -179,9 +179,9 @@ class ResidualBasedPenalty:
     needs_increment = False
 
     def __post_init__(self):
-        if self.kappa <= 1.0:
+        if not self.kappa > 1.0:
             raise ValueError("kappa must exceed 1")
-        if self.rho_inc <= 1.0 or self.rho_dec <= 1.0:
+        if not (self.rho_inc > 1.0 and self.rho_dec > 1.0):
             raise ValueError("rho_inc and rho_dec must exceed 1")
 
     def update(self, beta, residual=None, increment=None):

@@ -59,9 +59,9 @@ class KernelConfig:
     def __post_init__(self):
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 

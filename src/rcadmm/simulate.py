@@ -38,9 +38,9 @@ class SotdPlant:
     def __post_init__(self):
         if len(self.num) != 2 or len(self.den) != 3:
             raise ValueError("plant must be (b1 s + b0) / (a2 s^2 + a1 s + a0)")
-        if min(self.den) <= 0.0:
+        if not all(d > 0.0 for d in self.den):
             raise ValueError("denominator coefficients must be positive")
-        if self.delay < 0.0:
+        if not self.delay >= 0.0:
             raise ValueError("delay must be nonnegative")
 
     def state_space(self):
@@ -57,9 +57,9 @@ class RelayConfig:
     hysteresis: float = 0.01
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
+        if not self.amplitude > 0.0:
             raise ValueError("relay amplitude must be positive")
-        if self.hysteresis < 0.0:
+        if not self.hysteresis >= 0.0:
             raise ValueError("relay hysteresis must be nonnegative")
 
 
@@ -76,7 +76,7 @@ class BenchmarkScenario:
     def __post_init__(self):
         if self.duration <= 0.0 or self.dt <= 0.0:
             raise ValueError("duration and dt must be positive")
-        if self.noise_var < 0.0:
+        if not self.noise_var >= 0.0:
             raise ValueError("noise variance must be nonnegative")
         if abs(self.n_samples * self.dt - self.duration) > 1e-9:
             raise ValueError("duration must be a whole number of samples")

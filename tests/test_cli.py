@@ -98,6 +98,16 @@ class TestSolveCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_nan_tolerance_exits_1(self, tmp_path, capsys):
+        # json reads a bare NaN; the range check must not let it through.
+        cfg = solve_config(tmp_path, eps_tol=float("nan"))
+        assert "NaN" in (tmp_path / "solve.json").read_text()
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid solver settings")
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path / "list.json", [TINY_PROBLEM])
         rc = main(["solve", "--config", path, "--out", str(tmp_path)])
@@ -290,6 +300,15 @@ class TestSimulateCommand:
         assert err.startswith("error: invalid scenario settings")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sim.json", {"scenario": dict(TINY_SCENARIO)})
+        out = tmp_path / "missing" / "dir" / "data.csv"
+        rc = main(["simulate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: FileNotFoundError")
+        assert str(out) in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", {"scenario": dict(TINY_SCENARIO)})

@@ -247,6 +247,23 @@ class TestSolve:
                     np.testing.assert_array_equal(st.theta_next, st.step_theta)
                     np.testing.assert_array_equal(st.mu_next, st.step_mu)
 
+    @pytest.mark.parametrize(
+        "strategy", [SelfAdaptivePenalty(), MultiplicativePenalty()], ids=["sa", "mult"]
+    )
+    def test_accelerated_states_follow_records(self, strategy):
+        # count and beta of a loop state are those of the row it wrote,
+        # rejected rows included.
+        result = solve(
+            small_problem(0),
+            DriverConfig(beta0=1.0, strategy=strategy, k_max=120, collect_states=True),
+        )
+        assert not all(record.accepted for record in result.records)
+        assert len(result.states) == len(result.records)
+        for st, record in zip(result.states, result.records):
+            assert st.count == record.iteration - 1
+            assert st.beta == record.beta
+            assert st.accepted == record.accepted
+
     def test_epsilon_decreases_at_every_tested_acceptance(self):
         # The acceptance test guarantees strict decrease everywhere except
         # forced acceptances right after a backtrack, where the recomputed

@@ -1,0 +1,46 @@
+"""Range checks of the configuration types reject NaN.
+
+Each check is written ``not x > bound`` (or ``>=``), which NaN fails,
+rather than ``x <= bound``, which NaN passes; Python's ``json`` reads a
+bare ``NaN``, so a config file can carry one.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from rcadmm.driver import DriverConfig
+from rcadmm.penalty import MultiplicativePenalty, ResidualBasedPenalty
+from rcadmm.problem import KernelConfig
+from rcadmm.simulate import RelayConfig, default_scenario
+
+NAN = float("nan")
+SCENARIO = default_scenario()
+
+CASES = [
+    (DriverConfig(), "beta0", NAN),
+    (DriverConfig(), "eps_tol", NAN),
+    (MultiplicativePenalty(), "rho", NAN),
+    (MultiplicativePenalty(), "beta_max", NAN),
+    (ResidualBasedPenalty(), "kappa", NAN),
+    (ResidualBasedPenalty(), "rho_inc", NAN),
+    (ResidualBasedPenalty(), "rho_dec", NAN),
+    (KernelConfig(), "gamma", NAN),
+    (KernelConfig(), "scale", NAN),
+    (RelayConfig(), "amplitude", NAN),
+    (RelayConfig(), "hysteresis", NAN),
+    (SCENARIO, "noise_var", NAN),
+    # min() of a tuple with NaN in the middle ignores it.
+    (SCENARIO.plant, "den", (1.5, NAN, 1.0)),
+    (SCENARIO.plant, "delay", NAN),
+]
+
+
+@pytest.mark.parametrize(
+    "default, key, value",
+    CASES,
+    ids=[f"{type(default).__name__}.{key}" for default, key, _ in CASES],
+)
+def test_nan_rejected(default, key, value):
+    with pytest.raises(ValueError):
+        replace(default, **{key: value})

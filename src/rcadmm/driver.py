@@ -19,11 +19,14 @@ recorded point after a rejection already is.
 
 ``solve`` is the one place that decides how a run ends, numerical
 breakdown included; callers read ``SolveResult.termination`` and catch
-nothing.
+nothing.  The loop keeps no record beyond the trace: each sweep, each
+set of Anderson weights and each extrapolated point passes through a
+module-level call (``admm_step``, ``anderson_coefficients``,
+``AndersonWindow.combine``), which is where a caller can watch it.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +45,6 @@ class DriverConfig:
     k_max: int = 500
     m_max: int = 5
     acceleration: bool = True
-    collect_states: bool = False
 
     def __post_init__(self):
         if not self.beta0 > 0.0:
@@ -67,30 +69,12 @@ class IterationRecord:
     dldbeta: float
 
 
-@dataclass(frozen=True)
-class LoopState:
-    """One loop execution, kept only under collect_states for replay tests."""
-
-    count: int
-    beta: float
-    theta_start: np.ndarray
-    mu_start: np.ndarray
-    step_theta: np.ndarray
-    step_mu: np.ndarray
-    step_w: np.ndarray
-    accepted: bool
-    alpha: np.ndarray | None
-    theta_next: np.ndarray
-    mu_next: np.ndarray
-
-
 @dataclass
 class SolveResult:
     theta: np.ndarray
     records: list
     termination: str
     iterations: int
-    states: list | None = field(default=None, repr=False)
 
     @property
     def final(self):
@@ -123,10 +107,12 @@ class AndersonWindow:
     def latest_eta(self):
         return self._entries[-1][1]
 
-    def difference_matrix(self, m):
+    def difference_matrix(self):
         # Column j is eta(k-j+1) - eta(k-j), newest difference first.
         e = self._entries
-        return np.column_stack([e[-j][1] - e[-j - 1][1] for j in range(1, m + 1)])
+        return np.column_stack(
+            [e[-j][1] - e[-j - 1][1] for j in range(1, self.depth + 1)]
+        )
 
     def combine(self, alpha):
         """Affine extrapolation of the g sequence and its w companions."""
@@ -202,12 +188,10 @@ def solve(problem, config=None, init=None):
     k = 0
     window = AndersonWindow(config.m_max)
     records = []
-    states = [] if config.collect_states else None
     termination = "max_iterations"
 
     try:
         while True:
-            theta_in, mu_in = theta, mu
             step = admm_step(problem, theta, mu, beta)
             report = residuals(problem, theta, step)
             eps = report.combined
@@ -219,9 +203,7 @@ def solve(problem, config=None, init=None):
                 termination = "numeric-failure"
                 break
 
-            accepted = reset or eps < eps_prev
-            alpha = None
-            if accepted:
+            if reset or eps < eps_prev:
                 g = np.concatenate([step.theta, step.mu])
                 if not plain:
                     window.push(g, g - xi, step.w)
@@ -236,7 +218,7 @@ def solve(problem, config=None, init=None):
                 xi, w = g, step.w
                 if window.depth >= 1:
                     alpha = anderson_coefficients(
-                        window.difference_matrix(window.depth), window.latest_eta
+                        window.difference_matrix(), window.latest_eta
                     )
                     xi, w = window.combine(alpha)
 
@@ -249,23 +231,6 @@ def solve(problem, config=None, init=None):
                 reset = True
                 window.clear()
             theta, mu = xi[: problem.l], xi[problem.l :]
-
-            if states is not None:
-                states.append(
-                    LoopState(
-                        count=k - accepted,
-                        beta=step.beta,
-                        theta_start=theta_in,
-                        mu_start=mu_in,
-                        step_theta=step.theta,
-                        step_mu=step.mu,
-                        step_w=step.w,
-                        accepted=accepted,
-                        alpha=alpha,
-                        theta_next=theta,
-                        mu_next=mu,
-                    )
-                )
 
             if k > config.k_max:
                 termination = "max_iterations"
@@ -282,5 +247,4 @@ def solve(problem, config=None, init=None):
         records=records,
         termination=termination,
         iterations=k,
-        states=states,
     )

@@ -72,7 +72,7 @@ def lagrangian_increment(
     iterate satisfies the sweep invariants (dual orthogonal to Q, theta
     the normal-equations image of w); it is a well-defined expression in
     any case.  ``parts`` is ``_increment_parts`` of the same arguments,
-    formed here when not given.  Returns (value, terms).
+    formed here when not given.
     """
     if parts is None:
         parts = _increment_parts(problem, w_prev, theta_prev, w_new)
@@ -82,8 +82,7 @@ def lagrangian_increment(
     objective = float(e_new @ e_new - e_prev @ e_prev)
     linear = float(-(mu_prev - beta * c_prev) @ step)
     quadratic = float(beta * (0.5 * (p_step @ p_step) + p_feas @ p_feas))
-    terms = {"objective": objective, "linear": linear, "quadratic": quadratic}
-    return objective + linear + quadratic, terms
+    return objective + linear + quadratic
 
 
 def increment_slope(
@@ -120,7 +119,7 @@ def increment_diagnostics(problem, w_prev, theta_prev, mu_prev, iterate):
     the slope unavailable; the increment value itself is always defined.
     """
     parts = _increment_parts(problem, w_prev, theta_prev, iterate.w)
-    value, _ = lagrangian_increment(
+    value = lagrangian_increment(
         problem, w_prev, theta_prev, mu_prev, iterate.w, iterate.beta, parts
     )
     lam_mat, _ = problem.split_mu(mu_prev)

@@ -38,6 +38,8 @@ class SotdPlant:
     def __post_init__(self):
         if len(self.num) != 2 or len(self.den) != 3:
             raise ValueError("plant must be (b1 s + b0) / (a2 s^2 + a1 s + a0)")
+        if not (np.all(np.isfinite(self.num)) and np.all(np.isfinite(self.den))):
+            raise ValueError("plant coefficients must be finite")
         if not all(d > 0.0 for d in self.den):
             raise ValueError("denominator coefficients must be positive")
         if not self.delay >= 0.0:
@@ -175,9 +177,13 @@ def simulate_relay(scn):
     Sample i records the input applied on [i dt, (i+1) dt) and the output
     at t = i dt; the relay decision at each sampling instant sees the
     noise-free output, and noise lands on the recorded output only.
+    Raises NumericFailure when the state diverges or the output is not
+    finite.
     """
     a, b, c = scn.plant.state_space()
     u, y_clean = _relay_loop(a, b, c, scn)
+    if not np.all(np.isfinite(y_clean)):
+        raise NumericFailure("plant output is not finite")
     rng = np.random.default_rng(scn.seed)
     noise = rng.normal(0.0, np.sqrt(scn.noise_var), scn.n_samples)
     t = np.arange(scn.n_samples) * scn.dt

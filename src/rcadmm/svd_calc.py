@@ -13,18 +13,8 @@ that basis: U' dZ V = M with
 and dZ = U M V' + (dOmega V_r - U Theta[:, :r]) V_r', the last term being
 the part of dOmega V_r outside the range of U. The e block follows by
 differentiating the closed-form e update, and dw = [vec(dZ); de] is
-stacked for the penalty rule.
-
-The factor route is kept as the reference: the classical perturbation
-expressions
-
-    dS = I o Theta
-    dU = U (G o [Theta S + S Theta']) + (I - U U') dOmega V S^{-1}
-    dV = V (G o [S Theta + Theta' S]) + (I - V V') dOmega' U S^{-1}
-    G_ij = 1 / (s_j^2 - s_i^2),  G_ii = 0,
-
-then the product rule through the kept triplets (`z_derivative`). Both
-routes hold only while the spectrum is simple and nonzero.
+stacked for the penalty rule. The formula holds only while the spectrum
+is simple and nonzero.
 """
 from __future__ import annotations
 
@@ -46,53 +36,6 @@ def spectrum_degenerate(s: np.ndarray, rtol: float = GAP_RTOL) -> bool:
     return bool(np.min(s[:-1] - s[1:]) < rtol * s[0])
 
 
-def gain_matrix(s: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Off-diagonal gains 1 / (s_j^2 - s_i^2); zero diagonal.
-
-    Returns the degenerate flag alongside: tied gains are zeroed rather
-    than left infinite, and callers must not differentiate with them.
-    """
-    s = np.asarray(s, dtype=float)
-    s2 = s * s
-    with np.errstate(divide="ignore", over="ignore"):
-        g = 1.0 / (s2[None, :] - s2[:, None])
-    g[~np.isfinite(g)] = 0.0
-    np.fill_diagonal(g, 0.0)
-    return g, spectrum_degenerate(s)
-
-
-def svd_factor_derivatives(
-    svd: SvdTriple, d_omega: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dU, ds, dV) for a simple, strictly positive spectrum.
-
-    Raises SensitivityUnavailable on ties or a zero tail; the truncation
-    is not differentiable there and callers fall back to holding beta.
-    """
-    g, degenerate = gain_matrix(svd.s)
-    if degenerate:
-        raise SensitivityUnavailable("singular-value spectrum is degenerate")
-    u, s, v = svd.U, svd.s, svd.V
-    theta = u.T @ d_omega @ v
-    ds = np.diag(theta).copy()
-    # Range components rotate through the gains, complements enter directly.
-    x = (d_omega @ v) / s
-    du = u @ (g * (theta * s + s[:, None] * theta.T)) + x - u @ (u.T @ x)
-    y = (d_omega.T @ u) / s
-    dv = v @ (g * (s[:, None] * theta + theta.T * s)) + y - v @ (v.T @ y)
-    return du, ds, dv
-
-
-def z_derivative(
-    svd: SvdTriple, du: np.ndarray, ds: np.ndarray, dv: np.ndarray, r: int
-) -> np.ndarray:
-    """Product rule through the kept rank-r triplets."""
-    ur, vr, sr = svd.U[:, :r], svd.V[:, :r], svd.s[:r]
-    return (
-        (du[:, :r] * sr) @ vr.T + (ur * ds[:r]) @ vr.T + (ur * sr) @ dv[:, :r].T
-    )
-
-
 def e_derivative(
     problem: RcpProblem, theta: np.ndarray, e_new: np.ndarray, beta: float
 ) -> np.ndarray:
@@ -112,7 +55,8 @@ def w_derivative(
 
     ``theta`` and ``lam_mat`` are the pre-step values the update consumed,
     ``svd``/``e_new`` its outputs. Raises SensitivityUnavailable when the
-    spectrum is degenerate, as `svd_factor_derivatives` does.
+    spectrum is degenerate (`spectrum_degenerate`): the truncation is not
+    differentiable there and the penalty rule holds beta.
     """
     if spectrum_degenerate(svd.s):
         raise SensitivityUnavailable("singular-value spectrum is degenerate")

@@ -13,9 +13,16 @@ import time
 import numpy as np
 import pytest
 
+from reference import (
+    aligned_factors,
+    reference_plain_loop,
+    run_contraction,
+    svd_factor_derivatives,
+    z_derivative,
+)
 from rcadmm.admm import admm_step, initial_state, residuals, update_w
 from rcadmm.cli import main
-from rcadmm.driver import AndersonWindow, DriverConfig, anderson_coefficients, solve
+from rcadmm.driver import DriverConfig, solve
 from rcadmm.hankel import fixed_sign_svd, truncated_svd_projection
 from rcadmm.penalty import (
     ConstantPenalty,
@@ -29,12 +36,7 @@ from rcadmm.penalty import (
 from rcadmm.problem import RegressionData, assemble_problem
 from rcadmm.serialize import write_json
 from rcadmm.simulate import ExperimentCell, default_scenario, monte_carlo, simulate_relay
-from rcadmm.svd_calc import (
-    e_derivative,
-    spectrum_degenerate,
-    svd_factor_derivatives,
-    z_derivative,
-)
+from rcadmm.svd_calc import e_derivative, spectrum_degenerate
 
 RUNS = 100
 K_MAX = 500
@@ -166,10 +168,9 @@ def increment_slope_fd(problem, w, theta, mu, beta, delta):
     values = []
     for b in (beta + delta, beta - delta):
         z_b, e_b, _ = update_w(problem, theta, lam_mat, lam_vec, b)
-        value, _ = lagrangian_increment(
-            problem, w, theta, mu, problem.stack_w(z_b, e_b), b
+        values.append(
+            lagrangian_increment(problem, w, theta, mu, problem.stack_w(z_b, e_b), b)
         )
-        values.append(value)
     return (values[0] - values[1]) / (2.0 * delta)
 
 
@@ -210,13 +211,6 @@ def test_criterion_01_increment_slope(bench_problems):
 
 # ---------------------------------------------------------------------------
 # criterion 2: SVD calculus vs finite differences at benchmark dims
-
-
-def aligned_factors(base, other):
-    # Finite differences must track the smooth factor branch: align signs
-    # of each column pair by inner product with the base factors.
-    flips = np.sign(np.sum(base.U * other.U, axis=0))
-    return other.U * flips, other.V * flips
 
 
 def random_instance(seed):
@@ -285,7 +279,7 @@ def test_criterion_02_svd_calculus():
 # criterion 3: dual orthogonality and the theta identity along driver runs
 
 
-def test_criterion_03_dual_orthogonality(bench_problems):
+def test_criterion_03_dual_orthogonality(bench_problems, loop_spy):
     problem, init = bench_problems[0]
     strategies = [
         ConstantPenalty(),
@@ -303,19 +297,26 @@ def test_criterion_03_dual_orthogonality(bench_problems):
             eps_tol=EPS_OFF,
             k_max=200,
             acceleration=True,
-            collect_states=True,
         )
+        loop_spy.clear()
         result = solve(problem, config, init=init)
         assert result.termination == "max_iterations"
-        for state in result.states:
+        for sweep in loop_spy:
             executions += 1
-            for mu in (state.step_mu, state.mu_next):
+            # The sweep's output, the mu carried into it, and an
+            # extrapolated mu the loop carries on (the last sweep's
+            # included).
+            mus = [sweep.step.mu, sweep.mu]
+            if sweep.extrapolated is not None:
+                mus.append(sweep.extrapolated[0][problem.l :])
+            for mu in mus:
                 defect = np.max(np.abs(problem.q.T @ mu))
                 scaled = defect / (1.0 + np.max(np.abs(mu)))
                 worst_mu = max(worst_mu, float(scaled))
-            ref = -problem.qfac.solve_normal(state.step_w + problem.y_tilde)
-            defect = np.max(np.abs(state.step_theta - ref))
-            scaled = defect / (1.0 + np.max(np.abs(state.step_theta)))
+            step = sweep.step
+            ref = -problem.qfac.solve_normal(step.w + problem.y_tilde)
+            defect = np.max(np.abs(step.theta - ref))
+            scaled = defect / (1.0 + np.max(np.abs(step.theta)))
             worst_theta = max(worst_theta, float(scaled))
 
     ok = worst_mu <= 1e-8 and worst_theta <= 1e-8
@@ -338,7 +339,7 @@ def e_objective(e, problem, theta, lam_vec, beta):
     return np.sum(e * e, axis=1) - c @ lam_vec + 0.5 * beta * np.sum(c * c, axis=1)
 
 
-def test_criterion_04_subproblem_optimality(bench_problems):
+def test_criterion_04_subproblem_optimality(bench_problems, loop_spy):
     problem, init = bench_problems[0]
     config = DriverConfig(
         beta0=1.0,
@@ -346,26 +347,28 @@ def test_criterion_04_subproblem_optimality(bench_problems):
         eps_tol=EPS_OFF,
         k_max=K_MAX,
         acceleration=True,
-        collect_states=True,
     )
     result = solve(problem, config, init=init)
-    states = [s for s in result.states if s.accepted and s.count % 10 == 0]
-    assert len(states) >= 50
+    assert len(loop_spy) == len(result.records)
+    accepted = [s for s, rec in zip(loop_spy, result.records) if rec.accepted]
+    # Every tenth accepted sweep, the first included.
+    checkpoints = accepted[::10]
+    assert len(checkpoints) >= 50
 
     rng = np.random.default_rng(4)
     z_margin = np.inf
     e_margin = np.inf
-    for state in states:
-        lam_mat, lam_vec = problem.split_mu(state.mu_start)
-        beta = state.beta
-        omega = -problem.hankel(state.theta_start) + lam_mat / beta
+    for sweep in checkpoints:
+        lam_mat, lam_vec = problem.split_mu(sweep.mu)
+        beta = sweep.beta
+        omega = -problem.hankel(sweep.theta) + lam_mat / beta
         z_star, _ = truncated_svd_projection(omega, problem.r)
         e_star = (
-            beta * (problem.data.y - problem.phi @ state.theta_start) + lam_vec
+            beta * (problem.data.y - problem.phi @ sweep.theta) + lam_vec
         ) / (beta + 2.0)
         replayed = problem.stack_w(z_star, e_star)
-        assert np.linalg.norm(replayed - state.step_w) <= 1e-10 * (
-            1.0 + np.linalg.norm(state.step_w)
+        assert np.linalg.norm(replayed - sweep.step.w) <= 1e-10 * (
+            1.0 + np.linalg.norm(sweep.step.w)
         )
 
         # Rank-r competitors: random factorizations at the minimizer's own
@@ -389,9 +392,9 @@ def test_criterion_04_subproblem_optimality(bench_problems):
         directions = rng.normal(size=(1000, e_star.size))
         directions *= 1e-3 / np.linalg.norm(directions, axis=1, keepdims=True)
         perturbed = e_objective(
-            e_star[None, :] + directions, problem, state.theta_start, lam_vec, beta
+            e_star[None, :] + directions, problem, sweep.theta, lam_vec, beta
         )
-        f_star = e_objective(e_star, problem, state.theta_start, lam_vec, beta)
+        f_star = e_objective(e_star, problem, sweep.theta, lam_vec, beta)
         e_margin = min(e_margin, float(np.min(perturbed) - f_star))
 
     ok = z_margin >= -1e-12 and e_margin > 0.0
@@ -399,7 +402,7 @@ def test_criterion_04_subproblem_optimality(bench_problems):
         4,
         ok,
         f"min Z margin {z_margin:.2e}, min e margin {e_margin:.2e} "
-        f"over {len(states)} checkpoints x 1000 candidates each",
+        f"over {len(checkpoints)} checkpoints x 1000 candidates each",
     )
 
 
@@ -477,62 +480,6 @@ def test_criterion_08_start_insensitivity(start_grid_study):
 # criterion 9: acceleration mechanics
 
 
-def contraction_evaluations(accelerated, tol=1e-10, limit=60):
-    """Count G evaluations until the fixed-point residual of the affine
-    contraction G(x) = x/2 + c meets tol."""
-    c = np.array([1.0, -2.0, 0.5])
-    xi = np.zeros(3)
-    window = AndersonWindow(1)
-    for evaluation in range(1, limit + 1):
-        g = 0.5 * xi + c
-        eta = g - xi
-        if np.linalg.norm(eta) <= tol:
-            return evaluation
-        if accelerated:
-            window.push(g, eta, np.zeros(0))
-            m = min(1, evaluation - 1, window.depth)
-            if m >= 1:
-                alpha = anderson_coefficients(
-                    window.difference_matrix(m), window.latest_eta
-                )
-                xi, _ = window.combine(alpha)
-            else:
-                xi = g
-        else:
-            xi = g
-    return limit + 1
-
-
-def reference_plain_loop(problem, config):
-    """Textbook transcription of the non-accelerated iteration."""
-    state = initial_state(problem)
-    theta, mu, w = state.theta, state.mu, state.w
-    beta = config.beta0
-    k = 0
-    rows = []
-    while True:
-        step = admm_step(problem, theta, mu, beta)
-        report = residuals(problem, theta, step)
-        diag = None
-        if config.strategy.needs_increment:
-            diag = increment_diagnostics(problem, w, theta, mu, step)
-        theta, mu, w = step.theta, step.mu, step.w
-        beta = update_penalty(config.strategy, beta, report, diag)
-        k += 1
-        rows.append(
-            (
-                k,
-                report.beta,
-                report.primal_sq,
-                report.dual_sq,
-                report.combined,
-                report.objective,
-            )
-        )
-        if k > config.k_max or report.combined < config.eps_tol:
-            return theta, rows
-
-
 def guard_audit(records):
     """Replay the driver's residual guard over one accelerated trace.
 
@@ -563,8 +510,8 @@ def guard_audit(records):
 
 
 def test_criterion_09_acceleration_mechanics(bench_problems, comparison_study):
-    accelerated = contraction_evaluations(True)
-    plain = contraction_evaluations(False)
+    accelerated, _ = run_contraction(True)
+    plain, _ = run_contraction(False)
     ok_fixture = accelerated <= 3 and plain >= 20
 
     problem, _ = bench_problems[0]

@@ -301,6 +301,36 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "plant",
+        [{"num": [float("nan"), 1.0]}, {"den": [float("inf"), 0.6, 1.0]}],
+        ids=["nan-num", "inf-den"],
+    )
+    def test_non_finite_plant_exits_1(self, tmp_path, capsys, plant):
+        scenario = dict(TINY_SCENARIO, plant=plant)
+        cfg = write_config(tmp_path / "sim.json", {"scenario": scenario})
+        out = tmp_path / "data.csv"
+        rc = main(["simulate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid scenario.plant settings")
+        assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflowing_plant_output_exits_1(self, tmp_path, capsys):
+        # A finite numerator so large that the sampled output overflows.
+        scenario = dict(TINY_SCENARIO, plant={"num": [1e308, 1e308]})
+        cfg = write_config(tmp_path / "sim.json", {"scenario": scenario})
+        out = tmp_path / "data.csv"
+        rc = main(["simulate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: NumericFailure: plant output is not finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "sim.json", {"scenario": dict(TINY_SCENARIO)})
         out = tmp_path / "missing" / "dir" / "data.csv"

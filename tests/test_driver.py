@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rcadmm.admm import InitialState, admm_step, initial_state, residuals
+from reference import reference_plain_loop, run_contraction
+from rcadmm.admm import InitialState, admm_step, initial_state
 from rcadmm.driver import (
     DAMP_RTOL,
     AndersonWindow,
@@ -10,13 +11,7 @@ from rcadmm.driver import (
     anderson_coefficients,
     solve,
 )
-from rcadmm.penalty import (
-    ConstantPenalty,
-    MultiplicativePenalty,
-    SelfAdaptivePenalty,
-    increment_diagnostics,
-    update_penalty,
-)
+from rcadmm.penalty import ConstantPenalty, MultiplicativePenalty, SelfAdaptivePenalty
 from rcadmm.problem import RegressionData, assemble_problem
 
 
@@ -125,7 +120,7 @@ class TestAndersonWindow:
         window.push(np.zeros(2), np.array([1.0, 2.0]), np.zeros(1))
         window.push(np.zeros(2), np.array([4.0, 6.0]), np.zeros(1))
         np.testing.assert_array_equal(
-            window.difference_matrix(1), np.array([[3.0], [4.0]])
+            window.difference_matrix(), np.array([[3.0], [4.0]])
         )
 
     def test_combine_alpha_two_literal(self):
@@ -154,31 +149,6 @@ class TestAndersonWindow:
         assert window.depth == 0
 
 
-def run_contraction(accelerated, tol=1e-10, limit=60):
-    # Fixed point of G(xi) = 0.5 xi + c is 2c.
-    c = np.array([1.0, -2.0, 0.5])
-    xi = np.zeros(3)
-    window = AndersonWindow(1)
-    for evaluation in range(1, limit + 1):
-        g = 0.5 * xi + c
-        eta = g - xi
-        if np.linalg.norm(eta) <= tol:
-            return evaluation, xi
-        if accelerated:
-            window.push(g, eta, np.zeros(0))
-            m = min(1, evaluation - 1, window.depth)
-            if m >= 1:
-                alpha = anderson_coefficients(
-                    window.difference_matrix(m), window.latest_eta
-                )
-                xi, _ = window.combine(alpha)
-            else:
-                xi = g
-        else:
-            xi = g
-    return limit + 1, xi
-
-
 class TestContractionFixture:
     def test_accelerated_converges_immediately(self):
         evaluations, xi = run_contraction(True)
@@ -190,79 +160,73 @@ class TestContractionFixture:
         assert evaluations >= 20
 
 
-def reference_plain_loop(problem, config):
-    """Literal transcription of the non-accelerated loop for bitwise checks."""
-    state = initial_state(problem)
-    theta, mu, w = state.theta, state.mu, state.w
-    beta = config.beta0
-    k = 0
-    rows = []
-    while True:
-        step = admm_step(problem, theta, mu, beta)
-        report = residuals(problem, theta, step)
-        diag = None
-        if config.strategy.needs_increment:
-            diag = increment_diagnostics(problem, w, theta, mu, step)
-        theta, mu, w = step.theta, step.mu, step.w
-        beta = update_penalty(config.strategy, beta, report, diag)
-        k += 1
-        rows.append(
-            (k, report.beta, report.primal_sq, report.dual_sq, report.combined)
+def rejecting_run(loop_spy):
+    """Rows and sweeps of the first sa-aa run, over seeds 0-29, that
+    rejects a step before its last row."""
+    for seed in range(30):
+        loop_spy.clear()
+        result = solve(
+            small_problem(seed),
+            DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=150),
         )
-        if k > config.k_max or report.combined < config.eps_tol:
-            return theta, rows
+        if not all(record.accepted for record in result.records[:-1]):
+            assert len(loop_spy) == len(result.records)
+            return result.records, list(loop_spy)
+    raise AssertionError("no rejection occurred in any probe run")
 
 
 class TestSolve:
-    def test_acceleration_off_is_bitwise_plain(self):
+    def test_acceleration_off_is_bitwise_plain(self, loop_spy):
         for strategy in (ConstantPenalty(), SelfAdaptivePenalty()):
-            for collect in (False, True):
-                prob = small_problem(7)
-                config = DriverConfig(
-                    beta0=1.0, strategy=strategy, k_max=40, acceleration=False,
-                    collect_states=collect,
-                )
-                result = solve(prob, config)
-                theta_ref, rows = reference_plain_loop(prob, config)
-                np.testing.assert_array_equal(result.theta, theta_ref)
-                assert len(result.records) == len(rows)
-                for record, row in zip(result.records, rows):
-                    assert (
-                        record.iteration,
-                        record.beta,
-                        record.primal_sq,
-                        record.dual_sq,
-                        record.combined,
-                    ) == row
-                    assert record.accepted
-                if not collect:
-                    assert result.states is None
-                    continue
-                # Every plain step is an unextrapolated, accepted step.
-                assert len(result.states) == len(result.records)
-                for st, record in zip(result.states, result.records):
-                    assert st.accepted
-                    assert st.alpha is None
-                    assert st.count == record.iteration - 1
-                    np.testing.assert_array_equal(st.theta_next, st.step_theta)
-                    np.testing.assert_array_equal(st.mu_next, st.step_mu)
+            loop_spy.clear()
+            prob = small_problem(7)
+            config = DriverConfig(
+                beta0=1.0, strategy=strategy, k_max=40, acceleration=False
+            )
+            result = solve(prob, config)
+            theta_ref, rows = reference_plain_loop(prob, config)
+            np.testing.assert_array_equal(result.theta, theta_ref)
+            assert [
+                (r.iteration, r.beta, r.primal_sq, r.dual_sq, r.combined, r.objective)
+                for r in result.records
+            ] == rows
+            assert all(record.accepted for record in result.records)
+            # Every plain step is an unextrapolated, accepted step: each
+            # sweep starts from the output of the one before.
+            assert len(loop_spy) == len(result.records)
+            assert all(sweep.alpha is None for sweep in loop_spy)
+            for prev, sweep in zip(loop_spy, loop_spy[1:]):
+                np.testing.assert_array_equal(sweep.theta, prev.step.theta)
+                np.testing.assert_array_equal(sweep.mu, prev.step.mu)
 
     @pytest.mark.parametrize(
         "strategy", [SelfAdaptivePenalty(), MultiplicativePenalty()], ids=["sa", "mult"]
     )
-    def test_accelerated_states_follow_records(self, strategy):
-        # count and beta of a loop state are those of the row it wrote,
-        # rejected rows included.
+    def test_accelerated_states_follow_records(self, strategy, loop_spy):
+        # Each sweep writes one row at its own beta, rejected rows
+        # included; a row's iteration counts the accepted rows before it.
         result = solve(
             small_problem(0),
-            DriverConfig(beta0=1.0, strategy=strategy, k_max=120, collect_states=True),
+            DriverConfig(beta0=1.0, strategy=strategy, k_max=120),
         )
         assert not all(record.accepted for record in result.records)
-        assert len(result.states) == len(result.records)
-        for st, record in zip(result.states, result.records):
-            assert st.count == record.iteration - 1
-            assert st.beta == record.beta
-            assert st.accepted == record.accepted
+        assert len(loop_spy) == len(result.records)
+        accepted = 0
+        for sweep, record in zip(loop_spy, result.records):
+            assert record.iteration == accepted + 1
+            assert sweep.beta == record.beta
+            if not record.accepted:
+                assert sweep.alpha is None
+            accepted += record.accepted
+        # An Anderson step hands its extrapolated point to the next sweep.
+        extrapolated = 0
+        for prev, sweep in zip(loop_spy, loop_spy[1:]):
+            if prev.extrapolated is not None:
+                xi, _ = prev.extrapolated
+                start = np.concatenate([sweep.theta, sweep.mu])
+                np.testing.assert_array_equal(start, xi)
+                extrapolated += 1
+        assert extrapolated >= 5
 
     def test_epsilon_decreases_at_every_tested_acceptance(self):
         # The acceptance test guarantees strict decrease everywhere except
@@ -298,92 +262,36 @@ class TestSolve:
         eps = [r.combined for r in result.records if r.accepted]
         assert all(b < a for a, b in zip(eps, eps[1:]))
 
-    def test_backtrack_restores_recorded_state(self):
-        found = None
-        for seed in range(30):
-            result = solve(
-                small_problem(seed),
-                DriverConfig(
-                    beta0=1.0,
-                    strategy=SelfAdaptivePenalty(),
-                    k_max=150,
-                    collect_states=True,
-                ),
-            )
-            states = result.states
-            for i, st in enumerate(states):
-                if not st.accepted and i + 1 < len(states):
-                    found = (states, i)
-                    break
-            if found:
-                break
-        assert found is not None, "no rejection occurred in any probe run"
-        states, i = found
-        last_accept = next(
-            states[j] for j in range(i - 1, -1, -1) if states[j].accepted
-        )
+    def test_backtrack_restores_recorded_state(self, loop_spy):
+        rows, sweeps = rejecting_run(loop_spy)
+        i = next(i for i, row in enumerate(rows) if not row.accepted)
+        last_accept = next(sweeps[j] for j in range(i - 1, -1, -1) if rows[j].accepted)
         # The loop after a rejection restarts from the recorded plain step
         # and is force-accepted.
-        np.testing.assert_array_equal(states[i].theta_next, last_accept.step_theta)
-        np.testing.assert_array_equal(states[i].mu_next, last_accept.step_mu)
-        np.testing.assert_array_equal(
-            states[i + 1].theta_start, last_accept.step_theta
-        )
-        assert states[i + 1].accepted
+        np.testing.assert_array_equal(sweeps[i + 1].theta, last_accept.step.theta)
+        np.testing.assert_array_equal(sweeps[i + 1].mu, last_accept.step.mu)
+        assert rows[i + 1].accepted
 
-    def test_rejection_clears_window(self):
+    def test_rejection_clears_window(self, loop_spy):
         # The first acceptance after a backtrack must be a plain step.
-        result = None
-        for seed in range(30):
-            candidate = solve(
-                small_problem(seed),
-                DriverConfig(
-                    beta0=1.0,
-                    strategy=SelfAdaptivePenalty(),
-                    k_max=150,
-                    collect_states=True,
-                ),
-            )
-            if any(not st.accepted for st in candidate.states):
-                result = candidate
-                break
-        assert result is not None
-        states = result.states
-        for i, st in enumerate(states):
-            if not st.accepted and i + 1 < len(states):
-                assert states[i + 1].alpha is None
+        rows, sweeps = rejecting_run(loop_spy)
+        for i, row in enumerate(rows[:-1]):
+            if not row.accepted:
+                assert sweeps[i + 1].alpha is None
 
-    def test_beta_frozen_across_backtracks(self):
-        result = None
-        for seed in range(30):
-            candidate = solve(
-                small_problem(seed),
-                DriverConfig(
-                    beta0=1.0,
-                    strategy=SelfAdaptivePenalty(),
-                    k_max=150,
-                    collect_states=True,
-                ),
-            )
-            if any(not st.accepted for st in candidate.states):
-                result = candidate
-                break
-        assert result is not None
-        states = result.states
-        for i, st in enumerate(states):
-            if not st.accepted and i + 1 < len(states):
-                assert states[i + 1].beta == st.beta
+    def test_beta_frozen_across_backtracks(self, loop_spy):
+        rows, sweeps = rejecting_run(loop_spy)
+        for i, row in enumerate(rows[:-1]):
+            if not row.accepted:
+                assert sweeps[i + 1].beta == sweeps[i].beta
 
-    def test_returned_theta_is_last_accepted_step(self):
+    def test_returned_theta_is_last_accepted_step(self, loop_spy):
         result = solve(
             small_problem(3),
-            DriverConfig(
-                beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60,
-                collect_states=True,
-            ),
+            DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60),
         )
-        last_accept = next(st for st in reversed(result.states) if st.accepted)
-        np.testing.assert_array_equal(result.theta, last_accept.step_theta)
+        last = max(i for i, record in enumerate(result.records) if record.accepted)
+        np.testing.assert_array_equal(result.theta, loop_spy[last].step.theta)
 
     def test_max_iterations_is_literal(self):
         # Termination on k > k_max admits exactly k_max + 1 accepted steps.
@@ -469,25 +377,22 @@ class TestSolve:
         head = SolveResult(result.theta, result.records[: cut + 1], "max_iterations", 0)
         assert head.final is result.records[cut - 1]
 
-    def test_window_depth_grows_with_k(self):
+    def test_window_depth_grows_with_k(self, loop_spy):
         result = solve(
             small_problem(6),
-            DriverConfig(
-                beta0=1.0, strategy=ConstantPenalty(), k_max=8, m_max=3,
-                collect_states=True,
-            ),
+            DriverConfig(beta0=1.0, strategy=ConstantPenalty(), k_max=8, m_max=3),
         )
         # Window fills one entry per accepted step, capped at m_max, and
         # empties on rejection.
         entries = 0
         checked = 0
-        for st in result.states:
-            if not st.accepted:
+        for sweep, record in zip(loop_spy, result.records):
+            if not record.accepted:
                 entries = 0
                 continue
             entries = min(entries + 1, 4)
-            expected = min(3, st.count, entries - 1)
-            size = 0 if st.alpha is None else st.alpha.size
+            expected = min(3, record.iteration - 1, entries - 1)
+            size = 0 if sweep.alpha is None else sweep.alpha.size
             assert size == expected
             checked += 1
         assert checked >= 8
@@ -521,7 +426,6 @@ class TestSolve:
     def test_result_shape(self):
         result = solve(small_problem(9), DriverConfig(k_max=10))
         assert isinstance(result, SolveResult)
-        assert result.states is None
         assert result.theta.shape == (9,)
         for record in result.records:
             assert record.beta > 0

@@ -51,10 +51,9 @@ def replay_increment(problem, w, theta, mu, beta):
     """Increment value obtained by re-running the w-sweep at `beta`."""
     lam_mat, lam_vec = problem.split_mu(mu)
     z_new, e_new, _ = update_w(problem, theta, lam_mat, lam_vec, beta)
-    value, _ = lagrangian_increment(
+    return lagrangian_increment(
         problem, w, theta, mu, problem.stack_w(z_new, e_new), beta
     )
-    return value
 
 
 def fake_report(primal_sq, dual_sq):
@@ -162,7 +161,7 @@ class TestIncrement:
             prob = small_problem(sweeps)
             beta = 1.5
             w, theta, mu, it = step_pair(prob, sweeps, beta)
-            value, _ = lagrangian_increment(prob, w, theta, mu, it.w, beta)
+            value = lagrangian_increment(prob, w, theta, mu, it.w, beta)
             direct = augmented_lagrangian(prob, it.w, it.theta, it.mu, beta) - (
                 augmented_lagrangian(prob, w, theta, mu, beta)
             )
@@ -173,17 +172,11 @@ class TestIncrement:
         # relation, so the eliminated expression is only a surrogate.
         prob = small_problem(5)
         w, theta, mu, it = step_pair(prob, 0, 1.5)
-        value, _ = lagrangian_increment(prob, w, theta, mu, it.w, 1.5)
+        value = lagrangian_increment(prob, w, theta, mu, it.w, 1.5)
         direct = augmented_lagrangian(prob, it.w, it.theta, it.mu, 1.5) - (
             augmented_lagrangian(prob, w, theta, mu, 1.5)
         )
         assert abs(value - direct) > 1e-6
-
-    def test_terms_breakdown_sums_to_value(self):
-        prob = small_problem(3)
-        w, theta, mu, it = step_pair(prob, 2, 1.5)
-        value, terms = lagrangian_increment(prob, w, theta, mu, it.w, 1.5)
-        assert value == terms["objective"] + terms["linear"] + terms["quadratic"]
 
     def test_slope_matches_finite_difference(self):
         checked = 0
@@ -211,7 +204,7 @@ class TestIncrement:
         z = -prob.hankel(theta_true)
         w = prob.stack_w(z, np.zeros(prob.n_samples))
         mu = np.zeros(prob.w_size)
-        value, _ = lagrangian_increment(prob, w, theta_true, mu, w, 2.0)
+        value = lagrangian_increment(prob, w, theta_true, mu, w, 2.0)
         slope = increment_slope(
             prob, w, theta_true, mu, w, np.zeros(prob.w_size), 2.0
         )
@@ -241,7 +234,9 @@ class TestIncrement:
         new_beta = update_penalty(SelfAdaptivePenalty(), 1.2, report, diag)
         assert new_beta in (1.2 * 1.05, 1.2, 1.2 / 1.02)
 
-    def test_diagnostics_match_standalone_along_accelerated_run(self, monkeypatch):
+    def test_diagnostics_match_standalone_along_accelerated_run(
+        self, monkeypatch, loop_spy
+    ):
         # The shared vectors formed once per sweep must not change a bit of
         # the value or slope, extrapolated points included.
         calls = []
@@ -254,17 +249,16 @@ class TestIncrement:
         monkeypatch.setattr(driver, "increment_diagnostics", recording)
         result = driver.solve(
             small_problem(3),
-            driver.DriverConfig(
-                beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60,
-                collect_states=True,
-            ),
+            driver.DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60),
         )
-        accepted = [st for st in result.states if st.accepted]
+        rows = result.records
+        assert len(loop_spy) == len(rows)
+        accepted = [sweep for sweep, row in zip(loop_spy, rows) if row.accepted]
         assert len(accepted) == len(calls)
         sloped = 0
-        for st, (problem, w, theta, mu, it, diag) in zip(accepted, calls):
-            np.testing.assert_array_equal(theta, st.theta_start)
-            value, _ = lagrangian_increment(problem, w, theta, mu, it.w, it.beta)
+        for sweep, (problem, w, theta, mu, it, diag) in zip(accepted, calls):
+            np.testing.assert_array_equal(theta, sweep.theta)
+            value = lagrangian_increment(problem, w, theta, mu, it.w, it.beta)
             assert value == diag.delta_l
             if diag.slope is not None:
                 lam_mat, _ = problem.split_mu(mu)
@@ -272,10 +266,11 @@ class TestIncrement:
                 slope = increment_slope(problem, w, theta, mu, it.w, dw, it.beta)
                 assert slope == diag.slope
                 sloped += 1
+        # Accepted sweeps that started from an extrapolated point.
         extrapolated = sum(
             1
-            for prev, st in zip(result.states, result.states[1:])
-            if st.accepted and prev.accepted and prev.alpha is not None
+            for prev, row in zip(loop_spy, rows[1:])
+            if row.accepted and prev.extrapolated is not None
         )
         assert extrapolated >= 5
         assert sloped >= 30

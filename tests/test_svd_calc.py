@@ -3,21 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcadmm import svd_calc
+from reference import aligned_factors, gain_matrix, svd_factor_derivatives, z_derivative
 from rcadmm.admm import update_w
 from rcadmm.driver import DriverConfig, solve
 from rcadmm.errors import SensitivityUnavailable
-from rcadmm.hankel import SvdTriple, fixed_sign_svd
+from rcadmm.hankel import fixed_sign_svd
 from rcadmm.penalty import SelfAdaptivePenalty
 from rcadmm.problem import RegressionData, assemble_problem
-from rcadmm.svd_calc import (
-    e_derivative,
-    gain_matrix,
-    spectrum_degenerate,
-    svd_factor_derivatives,
-    w_derivative,
-    z_derivative,
-)
+from rcadmm.svd_calc import e_derivative, spectrum_degenerate, w_derivative
 
 
 def make_instance(seed, l=9, n=4, r=2, beta=1.3, n_samples=20, lam_scale=1.0):
@@ -35,78 +28,24 @@ def omega_of(prob, theta, lam_mat, beta):
     return -prob.hankel(theta) + lam_mat / beta
 
 
-def assert_bitwise(actual, expected):
-    assert actual.dtype == expected.dtype and actual.shape == expected.shape
-    assert actual.tobytes() == expected.tobytes()
-
-
-def reference_gain_matrix(s):
-    # Mask-and-fancy-index build: the previous kernel, kept as the reference.
-    s2 = s * s
-    denom = s2[None, :] - s2[:, None]
-    g = np.zeros_like(denom)
-    mask = ~np.eye(s.size, dtype=bool) & (denom != 0.0)
-    g[mask] = 1.0 / denom[mask]
-    return g
-
-
-def reference_factor_derivatives(svd, d_omega):
-    # All columns of dU and dV: the previous kernel, kept as the reference.
-    u, s, v = svd.U, svd.s, svd.V
-    g = reference_gain_matrix(s)
-    theta = u.T @ d_omega @ v
-    ds = np.diag(theta).copy()
-    x = (d_omega @ v) / s
-    du = u @ (g * (theta * s + s[:, None] * theta.T)) + x - u @ (u.T @ x)
-    y = (d_omega.T @ u) / s
-    dv = v @ (g * (s[:, None] * theta + theta.T * s)) + y - v @ (v.T @ y)
-    return du, ds, dv
-
-
-def workload_omega(l, n, seed):
-    """Omega and dOmega on a Hankel block of the benchmark's shapes."""
-    prob, theta, lam_mat, _, beta, _ = make_instance(seed, l=l, n=n, r=2, n_samples=100)
-    return fixed_sign_svd(omega_of(prob, theta, lam_mat, beta)), -lam_mat / beta**2
-
-
-def aligned_factors(base: SvdTriple, other: SvdTriple):
-    # Finite differences must track the smooth factor branch: align signs
-    # of each column pair by inner product with the base factors.
-    flips = np.sign(np.sum(base.U * other.U, axis=0))
-    return other.U * flips, other.V * flips
-
-
 class TestGainMatrix:
     def test_literal(self):
-        g, degenerate = gain_matrix(np.array([2.0, 1.0]))
-        np.testing.assert_allclose(g, [[0.0, -1.0 / 3.0], [1.0 / 3.0, 0.0]])
-        assert not degenerate
+        s = np.array([2.0, 1.0])
+        np.testing.assert_allclose(gain_matrix(s), [[0.0, -1.0 / 3.0], [1.0 / 3.0, 0.0]])
+        assert not spectrum_degenerate(s)
 
     def test_antisymmetric(self):
-        g, _ = gain_matrix(np.array([3.0, 2.0, 0.5]))
+        g = gain_matrix(np.array([3.0, 2.0, 0.5]))
         np.testing.assert_allclose(g, -g.T)
 
     def test_degenerate_gap_flagged(self):
-        _, degenerate = gain_matrix(np.array([2.0, 1.0, 1.0 - 1e-14]))
-        assert degenerate
-
-    @pytest.mark.parametrize(
-        "s",
-        [
-            np.array([2.0, 1.0]),
-            np.array([3.0, 2.0, 2.0, 0.5]),  # tied pair: its gains must be 0
-            np.linspace(5.0, 0.1, 20),
-            np.array([1.0, 1e-200, 0.0]),
-        ],
-    )
-    def test_bitwise_equals_masked_reference(self, s):
-        g, _ = gain_matrix(s)
-        assert_bitwise(g, reference_gain_matrix(s))
+        assert spectrum_degenerate(np.array([2.0, 1.0, 1.0 - 1e-14]))
 
     def test_tied_pair_gives_zero(self):
-        g, degenerate = gain_matrix(np.array([3.0, 2.0, 2.0, 0.5]))
+        s = np.array([3.0, 2.0, 2.0, 0.5])
+        g = gain_matrix(s)
         assert g[1, 2] == 0.0 and g[2, 1] == 0.0
-        assert degenerate
+        assert spectrum_degenerate(s)
 
     def test_zero_tail_flagged(self):
         assert spectrum_degenerate(np.array([1.0, 1e-12]))
@@ -170,14 +109,6 @@ class TestFactorDerivatives:
         omega_hi = omega_of(prob, theta, lam_mat, beta + delta)
         recon = ((svd.U + delta * du) * (svd.s + delta * ds)) @ (svd.V + delta * dv).T
         assert np.linalg.norm(omega_hi - recon) <= 1e-6 * np.linalg.norm(omega)
-
-    def test_all_columns_bitwise_equal_reference(self):
-        for l, n in ((9, 4), (60, 20), (120, 40)):
-            svd, d_omega = workload_omega(l, n, seed=l)
-            for got, want in zip(
-                svd_factor_derivatives(svd, d_omega), reference_factor_derivatives(svd, d_omega)
-            ):
-                assert_bitwise(got, want)
 
     def test_degenerate_spectrum_raises(self):
         svd = fixed_sign_svd(np.diag([2.0, 1.0, 1.0, 0.5]))
@@ -325,12 +256,10 @@ class TestBasisRoute:
             1e-13,
         )
 
-    def test_solver_calls_no_reference(self, monkeypatch):
-        def reference_called(*args, **kwargs):
-            raise AssertionError("the solver path called a reference route")
-
-        monkeypatch.setattr(svd_calc, "svd_factor_derivatives", reference_called)
-        monkeypatch.setattr(svd_calc, "z_derivative", reference_called)
+    def test_solver_calls_no_reference(self):
+        # The reference routes live only in the tests, so every slope of
+        # a solve comes from `w_derivative`: a 60-iteration sa-aa run has
+        # one finite slope per accepted step.
         prob = make_instance(16, l=60, n=20, r=8, n_samples=100)[0]
         result = solve(
             prob, DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60)

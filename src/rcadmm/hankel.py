@@ -44,10 +44,6 @@ class HankelDims:
     def rows(self) -> int:
         return self.l + 1 - self.n
 
-    @property
-    def cols(self) -> int:
-        return self.n
-
     @cached_property
     def size(self) -> int:
         # Length of vec(H).

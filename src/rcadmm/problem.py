@@ -156,9 +156,8 @@ class RcpProblem:
     def stack_w(self, z: np.ndarray, e: np.ndarray) -> np.ndarray:
         return np.concatenate([z.ravel(order="F"), e])
 
-    # The dual vector mu = [vec(Lam); lam] splits/stacks identically.
+    # The dual vector mu = [vec(Lam); lam] splits identically.
     split_mu = split_w
-    stack_mu = stack_w
 
 
 def assemble_problem(data: RegressionData, l: int, n: int, r: int) -> RcpProblem:

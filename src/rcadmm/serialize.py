@@ -1,13 +1,15 @@
 """File formats: trace/averages/data CSV schemas and JSON config parsing.
 
 Each CSV file is its fixed header row, then one row per entry, written
-by `_write_rows` and read back by `_read_rows`.  Floats are written with
-repr() so values round-trip exactly and reruns can be compared byte for
-byte; flags are `true`/`false`.  The trace schema is fixed: changing it
-breaks downstream plotting, so the header is asserted in tests.
+by `_write_rows`.  Floats are written with repr() so `float()` reads
+every value back exactly and reruns can be compared byte for byte; flags
+are `true`/`false`.  The trace schema is fixed: changing it breaks
+downstream plotting, so the header is asserted in tests.
 
-JSON configs: absent keys take the defaults of DriverConfig, the strategy
-classes and default_scenario(); a bad value raises ConfigError naming it.
+JSON configs: the keys of a section are the fields of the type it builds
+(DriverConfig and the strategy classes for `solver`, and the scenario,
+plant and relay types of default_scenario()); absent keys take that
+type's defaults, and a bad value raises ConfigError naming it.
 """
 
 import csv
@@ -16,7 +18,7 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 
-from .driver import DriverConfig, IterationRecord
+from .driver import DriverConfig
 from .errors import ConfigError
 from .penalty import (
     ConstantPenalty,
@@ -42,8 +44,6 @@ AVERAGES_HEADER = ["iter", "mean_primal_sq", "mean_dual_sq", "mean_beta"]
 
 DATA_HEADER = ["t", "u", "y"]
 
-_FLAGS = {"true": True, "false": False}
-
 
 def _fmt(value):
     return repr(float(value))
@@ -56,18 +56,6 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_rows(path, header, kind):
-    """The rows after `header`, which must open the file, as lists of strings."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None:
-            raise ConfigError(f"empty {kind} file: {path}")
-        if found != header:
-            raise ConfigError(f"unexpected {kind} header: {found}")
-        return list(reader)
-
-
 def _trace_row(run_id, rec):
     # IterationRecord's fields are the columns after run_id, in order.
     iteration, *figures, accepted, dldbeta = astuple(rec)
@@ -78,27 +66,8 @@ def write_trace_csv(path, records, run_id=0):
     _write_rows(path, TRACE_HEADER, (_trace_row(run_id, rec) for rec in records))
 
 
-def read_trace_csv(path):
-    """Returns (run_ids, records) parsed back into IterationRecord."""
-    run_ids = []
-    records = []
-    for run_id, iteration, *figures, accepted, dldbeta in _read_rows(path, TRACE_HEADER, "trace"):
-        run_ids.append(int(run_id))
-        records.append(
-            IterationRecord(int(iteration), *map(float, figures), _FLAGS[accepted], float(dldbeta))
-        )
-    return run_ids, records
-
-
 def write_data_csv(path, sim):
     _write_rows(path, DATA_HEADER, (map(_fmt, row) for row in zip(sim.t, sim.u, sim.y)))
-
-
-def read_data_csv(path):
-    rows = _read_rows(path, DATA_HEADER, "data")
-    values = [[float(v) for v in row] for row in rows]
-    cols = np.array(values).reshape(len(rows), len(DATA_HEADER)).T
-    return cols[0], cols[1], cols[2]
 
 
 def write_averages_csv(path, averages):
@@ -106,11 +75,6 @@ def write_averages_csv(path, averages):
     means = (averages.primal_sq, averages.dual_sq, averages.beta)
     rows = ([j + 1, *(_fmt(m[j]) for m in means)] for j in np.flatnonzero(averages.counts))
     _write_rows(path, AVERAGES_HEADER, rows)
-
-
-def read_averages_csv(path):
-    rows = _read_rows(path, AVERAGES_HEADER, "averages")
-    return [(int(j), *map(float, means)) for j, *means in rows]
 
 
 def write_json(path, obj):
@@ -137,11 +101,6 @@ def load_json(path):
 INTEGER_KEYS = {"k_max", "m_max", "runs", "base_seed", "seed", "l", "n", "rank"}
 BOOLEAN_KEYS = {"acceleration"}
 
-# The keys each section reads; every field of a strategy is a key.
-SOLVER_KEYS = ("beta0", "eps_tol", "k_max", "m_max", "acceleration")
-SCENARIO_KEYS = ("duration", "dt", "noise_var", "fine_step", "seed")
-PLANT_KEYS = ("num", "den", "delay")
-RELAY_KEYS = ("amplitude", "hysteresis")
 STRATEGIES = {
     "constant": ConstantPenalty,
     "multiplicative": MultiplicativePenalty,
@@ -181,12 +140,13 @@ def _settings(section, keys, path):
     return {key: _value(section, key, path) for key in keys if key in section}
 
 
-def _build(default, section, keys, path, **fixed):
-    """`default` with the keys present in section, then `fixed`, replaced.
+def _build(default, section, path, **fixed):
+    """`default` with its fields present in section, then `fixed`, replaced.
 
-    Absent keys keep the defaults of the type built; a value it rejects
-    becomes a ConfigError naming path.
+    Every field name of the type built is a key; absent keys keep its
+    defaults, and a value it rejects becomes a ConfigError naming path.
     """
+    keys = [f.name for f in fields(default)]
     settings = {**_settings(section, keys, path), **fixed}
     try:
         return replace(default, **settings)
@@ -201,23 +161,23 @@ def strategy_from_config(solver, path="solver"):
         raise ConfigError(
             f"{path}.strategy must be one of {', '.join(STRATEGIES)}: got {name!r}"
         )
-    return _build(cls(), solver, [f.name for f in fields(cls)], path)
+    return _build(cls(), solver, path)
 
 
 def driver_config_from(solver, path="solver"):
     strategy = strategy_from_config(solver, path)
-    return _build(DriverConfig(), solver, SOLVER_KEYS, path, strategy=strategy)
+    return _build(DriverConfig(), solver, path, strategy=strategy)
 
 
 def scenario_from_config(cfg, seed=None):
     section = _section(cfg, "scenario")
     base = default_scenario()
-    plant = _build(base.plant, _section(section, "plant"), PLANT_KEYS, "scenario.plant")
-    relay = _build(base.relay, _section(section, "relay"), RELAY_KEYS, "scenario.relay")
+    plant = _build(base.plant, _section(section, "plant"), "scenario.plant")
+    relay = _build(base.relay, _section(section, "relay"), "scenario.relay")
     fixed = {"plant": plant, "relay": relay}
     if seed is not None:
         fixed["seed"] = seed
-    return _build(base, section, SCENARIO_KEYS, "scenario", **fixed)
+    return _build(base, section, "scenario", **fixed)
 
 
 def solver_from_config(cfg):

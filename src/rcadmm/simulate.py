@@ -137,16 +137,17 @@ def _relay_loop(a, b, c, scn):
     """Integrate the closed loop; returns sampled u and clean y."""
     per_sample, delay_steps = scn.per_sample, scn.delay_steps
     f_mat, g_vec = _rk4_matrices(a, b, scn.fine_step)
-    f11, f12 = f_mat[0]
-    f21, f22 = f_mat[1]
-    g1, g2 = g_vec
-    c1, c2 = c
-    d = scn.relay.amplitude
+    # Python floats, not numpy scalars: an output that overflows becomes
+    # inf or nan without a RuntimeWarning, for simulate_relay to reject.
+    (f11, f12), (f21, f22) = f_mat.tolist()
+    g1, g2 = g_vec.tolist()
+    c1, c2 = c.tolist()
+    d = float(scn.relay.amplitude)
     h = scn.relay.hysteresis
 
     x1 = x2 = 0.0
     relay_high = True
-    u_samples = np.empty(scn.n_samples)
+    u_samples = []
     y_samples = np.empty(scn.n_samples)
 
     for i in range(scn.n_samples):
@@ -159,7 +160,7 @@ def _relay_loop(a, b, c, scn):
         elif not relay_high and error >= h:
             relay_high = True
         y_samples[i] = y_now
-        u_samples[i] = d if relay_high else -d
+        u_samples.append(d if relay_high else -d)
         # k is the fine step whose held input reaches the plant now.
         start = i * per_sample - delay_steps
         for k in range(start, start + per_sample):
@@ -168,7 +169,7 @@ def _relay_loop(a, b, c, scn):
                 f11 * x1 + f12 * x2 + g1 * u_del,
                 f21 * x1 + f22 * x2 + g2 * u_del,
             )
-    return u_samples, y_samples
+    return np.array(u_samples), y_samples
 
 
 def simulate_relay(scn):

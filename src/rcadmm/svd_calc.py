@@ -25,15 +25,15 @@ from .hankel import GAP_RTOL, SvdTriple
 from .problem import RcpProblem
 
 
-def spectrum_degenerate(s: np.ndarray, rtol: float = GAP_RTOL) -> bool:
+def spectrum_degenerate(s: np.ndarray) -> bool:
     """True when any adjacent singular values tie or the spectrum hits zero,
     both relative to sigma_1."""
     s = np.asarray(s, dtype=float)
     if s[0] <= 0.0:
         return True
-    if s[-1] < rtol * s[0]:
+    if s[-1] < GAP_RTOL * s[0]:
         return True
-    return bool(np.min(s[:-1] - s[1:]) < rtol * s[0])
+    return bool(np.min(s[:-1] - s[1:]) < GAP_RTOL * s[0])
 
 
 def e_derivative(

@@ -219,7 +219,7 @@ def random_instance(seed):
         RegressionData(rng.normal(size=90), rng.normal(size=90)), l=60, n=20, r=8
     )
     theta = rng.normal(size=60)
-    lam_mat = rng.normal(size=(problem.dims.rows, problem.dims.cols))
+    lam_mat = rng.normal(size=(problem.dims.rows, problem.dims.n))
     lam_vec = rng.normal(size=90)
     beta = float(10.0 ** rng.uniform(-0.5, 0.5))
     return problem, theta, lam_mat, lam_vec, beta

@@ -223,7 +223,7 @@ class TestDualsAndStep:
         np.testing.assert_allclose(it.w, w_ref, atol=1e-12)
         np.testing.assert_allclose(it.theta, theta_ref, atol=1e-12)
         np.testing.assert_allclose(
-            it.mu, prob.stack_mu(lam_mat_ref, lam_vec_ref), atol=1e-12
+            it.mu, prob.stack_w(lam_mat_ref, lam_vec_ref), atol=1e-12
         )
 
 

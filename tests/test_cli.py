@@ -1,12 +1,12 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from rcadmm.cli import main
-from rcadmm.serialize import read_averages_csv, read_data_csv, read_trace_csv
 from rcadmm.simulate import monte_carlo
 import rcadmm.serialize as serialize
 
@@ -14,6 +14,12 @@ import rcadmm.serialize as serialize
 TINY_SCENARIO = {"duration": 10.0, "fine_step": 0.05, "seed": 3}
 TINY_PROBLEM = {"l": 8, "n": 3, "rank": 2}
 FINAL_NAMES = ("primal_sq", "dual_sq", "combined", "beta", "objective")
+
+
+def read_rows(path):
+    """The rows of a CSV output as dicts keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(path, obj):
@@ -35,15 +41,15 @@ class TestSolveCommand:
         cfg = solve_config(tmp_path)
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
-        run_ids, records = read_trace_csv(tmp_path / "out" / "trace.csv")
-        accepted = [r for r in records if r.accepted]
+        rows = read_rows(tmp_path / "out" / "trace.csv")
+        accepted = [row for row in rows if row["accepted"] == "true"]
         assert len(accepted) == 16
-        assert set(run_ids) == {3}
+        assert {row["run_id"] for row in rows} == {"3"}
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["termination"] == "max_iterations"
         assert len(summary["theta"]) == 8
         assert summary["wall_time_s"] > 0.0
-        assert summary["final_combined"] == accepted[-1].combined
+        assert summary["final_combined"] == float(accepted[-1]["combined"])
         assert set(summary) == {"termination", "iterations", "wall_time_s", "theta"} | {
             f"final_{name}" for name in FINAL_NAMES
         }
@@ -177,8 +183,8 @@ class TestBenchCommand:
             assert cell["failures"] == 0
             assert cell["mean_final_combined"] > 0.0
             assert np.isfinite(cell["mean_theta_error"])
-        rows = read_averages_csv(out / "const-beta1_mean.csv")
-        assert [r[0] for r in rows] == list(range(1, 8))
+        rows = read_rows(out / "const-beta1_mean.csv")
+        assert [row["iter"] for row in rows] == [str(j) for j in range(1, 8)]
 
     def test_failed_run_left_out_of_final_means(self, tmp_path, nan_first_run):
         spec_path = bench_spec(tmp_path, runs=3)
@@ -208,13 +214,13 @@ class TestBenchCommand:
                 want = np.mean([getattr(recs[-1], name) for recs in accepted])
                 assert summary[cell][f"mean_final_{name}"] == pytest.approx(want, rel=1e-12)
             # Each averages row is the mean over the two runs that did not fail.
-            rows = read_averages_csv(out / f"{cell}_mean.csv")
-            assert [row[0] for row in rows] == list(range(1, 8))
-            for j, primal, dual, beta in rows:
-                at_j = [recs[j - 1] for recs in accepted]
-                for got, name in ((primal, "primal_sq"), (dual, "dual_sq"), (beta, "beta")):
+            rows = read_rows(out / f"{cell}_mean.csv")
+            assert [row["iter"] for row in rows] == [str(j) for j in range(1, 8)]
+            for j, row in enumerate(rows):
+                at_j = [recs[j] for recs in accepted]
+                for name in ("primal_sq", "dual_sq", "beta"):
                     want = np.mean([getattr(rec, name) for rec in at_j])
-                    assert got == pytest.approx(want, rel=1e-12)
+                    assert float(row[f"mean_{name}"]) == pytest.approx(want, rel=1e-12)
 
     def test_averages_match_in_process_study(self, tmp_path):
         spec_path = bench_spec(tmp_path)
@@ -225,12 +231,12 @@ class TestBenchCommand:
         cells = serialize.cells_from_config(spec)
         mc = monte_carlo(scn, cells, 2, l=8, n=3, r=2, base_seed=11)
         for cell in cells:
-            rows = read_averages_csv(out / f"{cell.name}_mean.csv")
             avg = mc.cells[cell.name]
-            for j, primal, dual, beta in rows:
-                assert primal == avg.primal_sq[j - 1]
-                assert dual == avg.dual_sq[j - 1]
-                assert beta == avg.beta[j - 1]
+            for row in read_rows(out / f"{cell.name}_mean.csv"):
+                j = int(row["iter"]) - 1
+                assert float(row["mean_primal_sq"]) == avg.primal_sq[j]
+                assert float(row["mean_dual_sq"]) == avg.dual_sq[j]
+                assert float(row["mean_beta"]) == avg.beta[j]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = bench_spec(tmp_path)
@@ -285,10 +291,10 @@ class TestSimulateCommand:
         out = tmp_path / "data.csv"
         rc = main(["simulate", "--config", cfg, "--out", str(out)])
         assert rc == 0
-        t, u, y = read_data_csv(out)
-        assert t.shape == (20,)
-        assert t[0] == 0.0
-        assert set(np.unique(u)) <= {1.0, -1.0}
+        rows = read_rows(out)
+        assert len(rows) == 20
+        assert float(rows[0]["t"]) == 0.0
+        assert {float(row["u"]) for row in rows} <= {1.0, -1.0}
 
     def test_zero_fine_step_exits_1(self, tmp_path, capsys):
         scenario = dict(TINY_SCENARIO, fine_step=0)
@@ -317,8 +323,6 @@ class TestSimulateCommand:
         assert "finite" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_overflowing_plant_output_exits_1(self, tmp_path, capsys):
         # A finite numerator so large that the sampled output overflows.
         scenario = dict(TINY_SCENARIO, plant={"num": [1e308, 1e308]})

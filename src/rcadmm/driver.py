@@ -13,9 +13,10 @@ The combination is affine (coefficients sum to one), which preserves the
 two sweep invariants that make the penalty diagnostics exact, so the
 self-adaptive rule remains usable at accelerated iterates.
 
-The plain iteration is the same loop with the window left empty (depth
-m = 0) and every step accepted, as the forced plain step from the
-recorded point after a rejection already is.
+After a rejection the plain step from the recorded point is accepted
+unguarded.  A rejected step that started there is kept as that forced
+step; its only effect is to restart the Anderson window.  The plain
+iteration is the same loop with the window left empty (depth m = 0).
 
 ``solve`` is the one place that decides how a run ends, numerical
 breakdown included; callers read ``SolveResult.termination`` and catch
@@ -167,7 +168,9 @@ def solve(problem, config=None, init=None):
     """Run the driver loop and return the last accepted estimate.
 
     Acceleration on gives the guarded extrapolated iteration; off gives
-    the plain always-accept loop.  ``termination`` is ``"tolerance"``,
+    the plain always-accept loop.  A rejected row is followed by the
+    accepted row of the forced step, swept again only when the rejected
+    step was extrapolated.  ``termination`` is ``"tolerance"``,
     ``"max_iterations"`` or ``"numeric-failure"``; the last is a
     non-finite residual at the recorded point or LAPACK non-convergence
     (``LinAlgError``).  Neither raises: the run ends early with the trace
@@ -178,13 +181,10 @@ def solve(problem, config=None, init=None):
     # The recorded step: the start, then the last accepted sweep.
     rec = init if init is not None else initial_state(problem)
     strategy = config.strategy
-    plain = not config.acceleration
     theta, mu, w = rec.theta, rec.mu, rec.w
     xi = np.concatenate([theta, mu])
     beta = config.beta0
     eps_prev = np.inf
-    # A plain step is always taken from the recorded point, unguarded.
-    reset = plain
     k = 0
     window = AndersonWindow(config.m_max)
     records = []
@@ -194,46 +194,43 @@ def solve(problem, config=None, init=None):
         while True:
             step = admm_step(problem, theta, mu, beta)
             report = residuals(problem, theta, step)
+            if config.acceleration and not report.combined < eps_prev:
+                records.append(_record(k + 1, report, False, float("nan")))
+                if window.depth >= 1:  # the step was extrapolated
+                    xi, w = np.concatenate([rec.theta, rec.mu]), rec.w
+                    theta, mu = xi[: problem.l], xi[problem.l :]
+                    step = admm_step(problem, theta, mu, beta)
+                    report = residuals(problem, theta, step)
+                window.clear()
             eps = report.combined
-            # A non-finite residual from an extrapolated point falls
-            # through to the ordinary rejection branch and is repaired by
-            # backtracking; from the recorded point there is nothing left
-            # to back off to.
-            if not np.isfinite(eps) and reset:
+            # Non-finite from the recorded point: nothing to back off to.
+            if not np.isfinite(eps):
                 termination = "numeric-failure"
                 break
 
-            if reset or eps < eps_prev:
-                g = np.concatenate([step.theta, step.mu])
-                if not plain:
-                    window.push(g, g - xi, step.w)
-                rec = step
-                eps_prev = eps
-                reset = plain
+            g = np.concatenate([step.theta, step.mu])
+            if config.acceleration:
+                window.push(g, g - xi, step.w)
+            rec = step
+            eps_prev = eps
 
-                diag = None
-                if strategy.needs_increment:
-                    diag = increment_diagnostics(problem, w, theta, mu, step)
+            diag = None
+            if strategy.needs_increment:
+                diag = increment_diagnostics(problem, w, theta, mu, step)
 
-                xi, w = g, step.w
-                if window.depth >= 1:
-                    alpha = anderson_coefficients(
-                        window.difference_matrix(), window.latest_eta
-                    )
-                    xi, w = window.combine(alpha)
+            xi, w = g, step.w
+            if window.depth >= 1:
+                alpha = anderson_coefficients(
+                    window.difference_matrix(), window.latest_eta
+                )
+                xi, w = window.combine(alpha)
 
-                beta = update_penalty(strategy, beta, report, diag)
-                k += 1
-                records.append(_record(k, report, True, _slope_value(diag)))
-            else:
-                records.append(_record(k + 1, report, False, float("nan")))
-                xi, w = np.concatenate([rec.theta, rec.mu]), rec.w
-                reset = True
-                window.clear()
+            beta = update_penalty(strategy, beta, report, diag)
+            k += 1
+            records.append(_record(k, report, True, _slope_value(diag)))
             theta, mu = xi[: problem.l], xi[problem.l :]
 
             if k > config.k_max:
-                termination = "max_iterations"
                 break
             if eps < config.eps_tol:
                 termination = "tolerance"

@@ -42,8 +42,8 @@ class SotdPlant:
             raise ValueError("plant coefficients must be finite")
         if not all(d > 0.0 for d in self.den):
             raise ValueError("denominator coefficients must be positive")
-        if not self.delay >= 0.0:
-            raise ValueError("delay must be nonnegative")
+        if not 0.0 <= self.delay < np.inf:
+            raise ValueError("delay must be nonnegative and finite")
 
     def state_space(self):
         """Controllable companion form (A, B, C), as ``tf2ss`` builds it."""
@@ -76,10 +76,10 @@ class BenchmarkScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0.0 or self.dt <= 0.0:
-            raise ValueError("duration and dt must be positive")
-        if not self.noise_var >= 0.0:
-            raise ValueError("noise variance must be nonnegative")
+        if not (0.0 < self.duration < np.inf and 0.0 < self.dt < np.inf):
+            raise ValueError("duration and dt must be positive and finite")
+        if not 0.0 <= self.noise_var < np.inf:
+            raise ValueError("noise variance must be nonnegative and finite")
         if abs(self.n_samples * self.dt - self.duration) > 1e-9:
             raise ValueError("duration must be a whole number of samples")
         if not 0.0 < self.fine_step <= self.dt / 10.0 + 1e-12:

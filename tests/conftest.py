@@ -47,18 +47,44 @@ class Sweep:
     extrapolated: tuple | None = None
 
 
+class LoopSpy(list):
+    """The `Sweep` entries of `driver.solve`, one per sweep in call order."""
+
+    def per_row(self, records):
+        """The sweep behind each row of ``records``, for a spy of one solve.
+
+        A rejected row is followed by the forced row of the plain step
+        from the recorded point.  When the rejected sweep did not start
+        from an extrapolated point it already is that step, so both rows
+        pair with it; otherwise the forced row pairs with the next sweep.
+        Asserts that every sweep wrote a row, which a run that ended
+        "numeric-failure" need not do.
+        """
+        paired, j = [], 0
+        for i, record in enumerate(records):
+            forced = i > 0 and record.accepted and not records[i - 1].accepted
+            # The rejected sweep is self[j - 1]; the sweep before it records
+            # the extrapolated point it handed on, if any.
+            if forced and (j < 2 or self[j - 2].extrapolated is None):
+                paired.append(self[j - 1])
+            else:
+                paired.append(self[j])
+                j += 1
+        assert j == len(self)
+        return paired
+
+
 @pytest.fixture
 def loop_spy(monkeypatch):
     """Watch `driver.solve` at the calls its loop already makes.
 
     Wraps the sweep (`driver.admm_step`), the Anderson weights
     (`driver.anderson_coefficients`) and the extrapolation
-    (`AndersonWindow.combine`) without changing a result.  Returns the
-    list of `Sweep` entries, one per sweep in call order, appended to as
-    solves run.  Each sweep writes one trace row, so the list pairs with
-    `SolveResult.records` unless the run ended "numeric-failure".
+    (`AndersonWindow.combine`) without changing a result.  Returns a
+    `LoopSpy`, appended to as solves run; `LoopSpy.per_row` pairs its
+    sweeps with the trace rows, of which a reused forced step writes two.
     """
-    sweeps = []
+    sweeps = LoopSpy()
     admm_step = driver.admm_step
     anderson_coefficients = driver.anderson_coefficients
     combine = driver.AndersonWindow.combine

@@ -309,8 +309,12 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "plant",
-        [{"num": [float("nan"), 1.0]}, {"den": [float("inf"), 0.6, 1.0]}],
-        ids=["nan-num", "inf-den"],
+        [
+            {"num": [float("nan"), 1.0]},
+            {"den": [float("inf"), 0.6, 1.0]},
+            {"delay": float("inf")},
+        ],
+        ids=["nan-num", "inf-den", "inf-delay"],
     )
     def test_non_finite_plant_exits_1(self, tmp_path, capsys, plant):
         scenario = dict(TINY_SCENARIO, plant=plant)
@@ -321,6 +325,25 @@ class TestSimulateCommand:
         assert rc == 1
         assert err.startswith("error: invalid scenario.plant settings")
         assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [{"duration": float("inf")}, {"noise_var": float("inf")}],
+        ids=["duration", "noise_var"],
+    )
+    def test_infinite_scenario_value_exits_1(self, tmp_path, capsys, scenario):
+        # json reads a bare Infinity; it must not reach the rounding to
+        # whole samples (an OverflowError) or the noise draw.
+        cfg = write_config(tmp_path / "sim.json", {"scenario": scenario})
+        assert "Infinity" in (tmp_path / "sim.json").read_text()
+        out = tmp_path / "data.csv"
+        rc = main(["simulate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid scenario settings")
+        assert "finite" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_overflowing_plant_output_exits_1(self, tmp_path, capsys):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from reference import reference_plain_loop, run_contraction
-from rcadmm.admm import InitialState, admm_step, initial_state
+from rcadmm.admm import (
+    REPORT_FIELDS,
+    InitialState,
+    admm_step,
+    initial_state,
+    residuals,
+)
 from rcadmm.driver import (
     DAMP_RTOL,
     AndersonWindow,
@@ -170,8 +176,7 @@ def rejecting_run(loop_spy):
             DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=150),
         )
         if not all(record.accepted for record in result.records[:-1]):
-            assert len(loop_spy) == len(result.records)
-            return result.records, list(loop_spy)
+            return result.records, loop_spy.per_row(result.records)
     raise AssertionError("no rejection occurred in any probe run")
 
 
@@ -203,16 +208,16 @@ class TestSolve:
         "strategy", [SelfAdaptivePenalty(), MultiplicativePenalty()], ids=["sa", "mult"]
     )
     def test_accelerated_states_follow_records(self, strategy, loop_spy):
-        # Each sweep writes one row at its own beta, rejected rows
-        # included; a row's iteration counts the accepted rows before it.
+        # Each row, rejected rows included, is written at the beta of the
+        # sweep behind it; a row's iteration counts the accepted rows
+        # before it.
         result = solve(
             small_problem(0),
             DriverConfig(beta0=1.0, strategy=strategy, k_max=120),
         )
         assert not all(record.accepted for record in result.records)
-        assert len(loop_spy) == len(result.records)
         accepted = 0
-        for sweep, record in zip(loop_spy, result.records):
+        for sweep, record in zip(loop_spy.per_row(result.records), result.records):
             assert record.iteration == accepted + 1
             assert sweep.beta == record.beta
             if not record.accepted:
@@ -230,8 +235,8 @@ class TestSolve:
 
     def test_epsilon_decreases_at_every_tested_acceptance(self):
         # The acceptance test guarantees strict decrease everywhere except
-        # forced acceptances right after a backtrack, where the recomputed
-        # plain step is taken unconditionally.
+        # forced acceptances right after a backtrack, where the plain step
+        # from the recorded point is taken unconditionally.
         for seed, strategy in (
             (0, SelfAdaptivePenalty()),
             (1, ConstantPenalty()),
@@ -285,13 +290,57 @@ class TestSolve:
             if not row.accepted:
                 assert sweeps[i + 1].beta == sweeps[i].beta
 
+    def test_rejected_plain_step_is_not_swept_again(self, loop_spy):
+        # The window holds one entry per accepted row since the start or
+        # the last rejection, so a rejected step was extrapolated only
+        # after two accepted rows in a row.  Any other rejected sweep
+        # started from the recorded point and is reused as the forced step.
+        rows, _ = rejecting_run(loop_spy)
+        reused = run = 0
+        for row in rows:
+            if row.accepted:
+                run += 1
+            else:
+                reused += run < 2
+                run = 0
+        assert 0 < reused < sum(not row.accepted for row in rows)
+        assert len(loop_spy) == len(rows) - reused
+
+    def test_forced_rows_replay_a_sweep_from_recorded_point(self, loop_spy):
+        prob = small_problem(0)
+        config = DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=120)
+        rows = solve(prob, config).records
+        sweeps = loop_spy.per_row(rows)
+        kinds = []
+        for i in range(2, len(rows)):
+            if not rows[i].accepted or rows[i - 1].accepted:
+                continue
+            # Row i - 2 is the last accepted row, so its step is recorded.
+            rec = sweeps[i - 2].step
+            step = admm_step(prob, rec.theta, rec.mu, rows[i].beta)
+            report = residuals(prob, rec.theta, step)
+            for name in REPORT_FIELDS:
+                assert getattr(rows[i], name) == getattr(report, name)
+            np.testing.assert_array_equal(sweeps[i].step.w, step.w)
+            np.testing.assert_array_equal(sweeps[i].theta, rec.theta)
+            np.testing.assert_array_equal(sweeps[i].mu, rec.mu)
+            reused = sweeps[i] is sweeps[i - 1]
+            if not reused:
+                # An extrapolated rejection: the forced row is a new sweep
+                # from the recorded point, not from the rejected start.
+                assert sweeps[i - 2].extrapolated is not None
+                assert not np.array_equal(sweeps[i - 1].theta, rec.theta)
+            kinds.append(reused)
+        assert set(kinds) == {True, False}
+
     def test_returned_theta_is_last_accepted_step(self, loop_spy):
         result = solve(
             small_problem(3),
             DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60),
         )
         last = max(i for i, record in enumerate(result.records) if record.accepted)
-        np.testing.assert_array_equal(result.theta, loop_spy[last].step.theta)
+        sweep = loop_spy.per_row(result.records)[last]
+        np.testing.assert_array_equal(result.theta, sweep.step.theta)
 
     def test_max_iterations_is_literal(self):
         # Termination on k > k_max admits exactly k_max + 1 accepted steps.
@@ -386,7 +435,7 @@ class TestSolve:
         # empties on rejection.
         entries = 0
         checked = 0
-        for sweep, record in zip(loop_spy, result.records):
+        for sweep, record in zip(loop_spy.per_row(result.records), result.records):
             if not record.accepted:
                 entries = 0
                 continue

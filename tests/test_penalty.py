@@ -252,8 +252,8 @@ class TestIncrement:
             driver.DriverConfig(beta0=1.0, strategy=SelfAdaptivePenalty(), k_max=60),
         )
         rows = result.records
-        assert len(loop_spy) == len(rows)
-        accepted = [sweep for sweep, row in zip(loop_spy, rows) if row.accepted]
+        sweeps = loop_spy.per_row(rows)
+        accepted = [sweep for sweep, row in zip(sweeps, rows) if row.accepted]
         assert len(accepted) == len(calls)
         sloped = 0
         for sweep, (problem, w, theta, mu, it, diag) in zip(accepted, calls):
@@ -269,7 +269,7 @@ class TestIncrement:
         # Accepted sweeps that started from an extrapolated point.
         extrapolated = sum(
             1
-            for prev, row in zip(loop_spy, rows[1:])
+            for prev, row in zip(sweeps, rows[1:])
             if row.accepted and prev.extrapolated is not None
         )
         assert extrapolated >= 5

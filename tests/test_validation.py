@@ -1,8 +1,12 @@
-"""Range checks of the configuration types reject NaN.
+"""Range checks of the configuration types reject NaN, and infinity
+where a value sets a sample count or a noise level.
 
 Each check is written ``not x > bound`` (or ``>=``), which NaN fails,
 rather than ``x <= bound``, which NaN passes; Python's ``json`` reads a
-bare ``NaN``, so a config file can carry one.
+bare ``NaN`` or ``Infinity``, so a config file can carry one.  An
+infinite duration, sample period or plant delay would overflow the
+rounding to whole steps, and an infinite noise variance would write an
+infinite output.
 """
 
 from dataclasses import replace
@@ -15,6 +19,7 @@ from rcadmm.problem import KernelConfig
 from rcadmm.simulate import RelayConfig, default_scenario
 
 NAN = float("nan")
+INF = float("inf")
 SCENARIO = default_scenario()
 
 CASES = [
@@ -33,13 +38,20 @@ CASES = [
     # min() of a tuple with NaN in the middle ignores it.
     (SCENARIO.plant, "den", (1.5, NAN, 1.0)),
     (SCENARIO.plant, "delay", NAN),
+    (SCENARIO, "duration", INF),
+    (SCENARIO, "dt", INF),
+    (SCENARIO, "noise_var", INF),
+    (SCENARIO.plant, "delay", INF),
 ]
 
 
 @pytest.mark.parametrize(
     "default, key, value",
     CASES,
-    ids=[f"{type(default).__name__}.{key}" for default, key, _ in CASES],
+    ids=[
+        f"{type(default).__name__}.{key}" + ("-inf" if value == INF else "")
+        for default, key, value in CASES
+    ],
 )
 def test_nan_rejected(default, key, value):
     with pytest.raises(ValueError):

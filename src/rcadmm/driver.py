@@ -48,10 +48,10 @@ class DriverConfig:
     acceleration: bool = True
 
     def __post_init__(self):
-        if not self.beta0 > 0.0:
-            raise ValueError("beta0 must be positive")
-        if not self.eps_tol > 0.0:
-            raise ValueError("eps_tol must be positive")
+        if not 0.0 < self.beta0 < np.inf:
+            raise ValueError("beta0 must be positive and finite")
+        if not 0.0 < self.eps_tol < np.inf:
+            raise ValueError("eps_tol must be positive and finite")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if self.m_max < 1:
@@ -143,8 +143,8 @@ def anderson_coefficients(diffs, eta):
     if sigma[0] == 0.0:
         return np.zeros(m)
     if sigma[-1] > DAMP_RTOL * sigma[0]:
-        # R is triangular; a general m x m solve costs less per call than
-        # a triangular one through scipy's wrapper and gives the same result.
+        # R is triangular; numpy has no triangular solver, and LU of R
+        # pivots on its diagonal, so the general solve is the back substitution.
         return np.linalg.solve(r, q.T @ eta)
     tau = DAMP_RTOL * float(np.sum(sigma**2))
     augmented = np.vstack([diffs, np.sqrt(tau) * np.eye(m)])

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditionedError
 
@@ -110,7 +109,7 @@ class StackedOperator:
         self.index = (np.arange(dims.rows)[:, None] + np.arange(dims.n)).ravel(order="F")
         self.sqrt_counts = np.sqrt(np.bincount(self.index))
         c = np.vstack([np.diag(self.sqrt_counts), phi])
-        self.orth, self.r_factor = scipy.linalg.qr(c, mode="economic")
+        self.orth, self.r_factor = np.linalg.qr(c)
         # C = orth @ R with orthonormal columns, so R has Q's singular values.
         sv = np.linalg.svd(self.r_factor, compute_uv=False)
         # The lifting rows keep sigma_max >= 1, so the ratio is defined.
@@ -119,7 +118,10 @@ class StackedOperator:
                 f"matrix is numerically rank deficient: "
                 f"sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}"
             )
-        self.solve_op = scipy.linalg.solve_triangular(self.r_factor, self.orth.T)
+        # LU of a triangular R pivots on its diagonal, so this is the back
+        # substitution.  Kept column-major: how BLAS rounds ``solve_op @ v``
+        # depends on the layout, and this one reproduces the sweep's figures.
+        self.solve_op = np.asfortranarray(np.linalg.solve(self.r_factor, self.orth.T))
         self.solve_op[:, : dims.l] /= self.sqrt_counts
 
     def apply(self, theta: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditionedError
 from .hankel import HankelDims, StackedOperator
@@ -72,19 +71,29 @@ def build_phi(u: np.ndarray, l: int) -> np.ndarray:
         raise ValueError("u must be a 1-d array")
     if not 1 <= l:
         raise ValueError(f"lag count must be positive, got {l}")
-    first_col = np.concatenate(([0.0], u[:-1]))
-    return scipy.linalg.toeplitz(first_col, np.zeros(l))
+    # Toeplitz: entry (t, k) reads u[t - k - 1], and a zero where t <= k.
+    padded = np.concatenate((np.zeros(l), u[:-1]))
+    return padded[l - 1 + np.arange(u.size)[:, None] - np.arange(l)]
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
+    """``a^{-1} b`` for a symmetric positive definite ``a``; raises ``error``
+    when the Cholesky factorization fails."""
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise error from exc
+    # numpy has no triangular solver; a general solve with each factor is
+    # backward stable too, and agrees with the substitutions to rounding.
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
 def least_squares_estimate(data: RegressionData, l: int) -> np.ndarray:
     """Unregularized estimate (Phi' Phi)^{-1} Phi' y."""
     phi = build_phi(data.u, l)
-    gram = phi.T @ phi
-    try:
-        c, low = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise IllConditionedError("normal matrix is singular") from exc
-    return scipy.linalg.cho_solve((c, low), phi.T @ data.y)
+    return _cholesky_solve(
+        phi.T @ phi, phi.T @ data.y, IllConditionedError("normal matrix is singular")
+    )
 
 
 def tc_kernel(l: int, cfg: KernelConfig) -> np.ndarray:
@@ -97,19 +106,14 @@ def kernel_initialize(data: RegressionData, l: int, cfg: KernelConfig | None = N
     """Regularized estimate (Phi' Phi + gamma K^{-1})^{-1} Phi' y."""
     cfg = cfg or KernelConfig()
     phi = build_phi(data.u, l)
-    k = tc_kernel(l, cfg)
-    try:
-        c, low = scipy.linalg.cho_factor(k)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError("kernel matrix is not positive definite") from exc
-    k_inv = scipy.linalg.cho_solve((c, low), np.eye(l))
+    k_inv = _cholesky_solve(
+        tc_kernel(l, cfg), np.eye(l), ValueError("kernel matrix is not positive definite")
+    )
     a = phi.T @ phi + cfg.gamma * k_inv
     a = 0.5 * (a + a.T)  # exact symmetry for the Cholesky solve
-    try:
-        c2, low2 = scipy.linalg.cho_factor(a)
-    except scipy.linalg.LinAlgError as exc:
-        raise IllConditionedError("regularized normal matrix is singular") from exc
-    return scipy.linalg.cho_solve((c2, low2), phi.T @ data.y)
+    return _cholesky_solve(
+        a, phi.T @ data.y, IllConditionedError("regularized normal matrix is singular")
+    )
 
 
 @dataclass

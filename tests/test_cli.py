@@ -114,6 +114,26 @@ class TestSolveCommand:
         assert err.startswith("error: invalid solver settings")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["beta0", "eps_tol"])
+    def test_infinite_solver_value_exits_1(self, tmp_path, capsys, key):
+        # An infinite beta0 wrote an all-NaN row; an infinite eps_tol
+        # stopped after one iteration and exited 0.
+        cfg = solve_config(tmp_path, **{key: float("inf")})
+        assert "Infinity" in (tmp_path / "solve.json").read_text()
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: invalid solver settings: {key} must be positive and finite")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        cfg = solve_config(tmp_path)
+        rc = main(["solve", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid scenario settings: seed must be nonnegative")
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path / "list.json", [TINY_PROBLEM])
         rc = main(["solve", "--config", path, "--out", str(tmp_path)])
@@ -271,6 +291,16 @@ class TestBenchCommand:
         assert rc == 1
         assert err.startswith(f"error: {key} must be an integer")
 
+    def test_negative_base_seed_exits_1(self, tmp_path, capsys):
+        spec = json.loads(open(bench_spec(tmp_path)).read())
+        spec["base_seed"] = -1
+        path = write_config(tmp_path / "negative.json", spec)
+        rc = main(["bench", "--spec", path, "--jobs", "1", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "base_seed must be nonnegative" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name", [["a"], None])
     def test_cell_name_must_be_string(self, tmp_path, capsys, name):
         spec = json.loads(open(bench_spec(tmp_path)).read())
@@ -344,6 +374,16 @@ class TestSimulateCommand:
         assert err.startswith("error: invalid scenario settings")
         assert "finite" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        scenario = dict(TINY_SCENARIO, seed=-1)
+        cfg = write_config(tmp_path / "sim.json", {"scenario": scenario})
+        out = tmp_path / "data.csv"
+        rc = main(["simulate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid scenario settings: seed must be nonnegative")
         assert not out.exists()
 
     def test_overflowing_plant_output_exits_1(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from rcadmm.errors import IllConditionedError
+from rcadmm.problem import build_phi
 from rcadmm.hankel import (
     HankelDims,
     StackedOperator,
@@ -246,6 +247,40 @@ class TestProjector:
         op, q = random_operator(11, 5, 6, seed=9)
         v = rng.normal(size=q.shape[0])
         np.testing.assert_allclose(op.solve_normal(v), np.linalg.pinv(q) @ v, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "l, n, n_samples", [(3, 2, 1), (11, 5, 3), (11, 5, 6), (60, 20, 100), (120, 40, 400)]
+    )
+    def test_factors_equal_scipy_route(self, l, n, n_samples):
+        # The QR and triangular solve as scipy.linalg computes them.
+        for seed in range(3):
+            op, _ = random_operator(l, n, n_samples, seed=seed)
+            c = np.vstack([np.diag(op.sqrt_counts), op.phi])
+            orth, r_factor = scipy.linalg.qr(c, mode="economic")
+            solve_op = scipy.linalg.solve_triangular(r_factor, orth.T)
+            solve_op[:, :l] /= op.sqrt_counts
+            assert_bitwise(op.orth, orth)
+            assert_bitwise(op.r_factor, r_factor)
+            assert_bitwise(op.solve_op, solve_op)
+            # Same memory order, so products with solve_op round alike.
+            assert op.solve_op.flags.f_contiguous == solve_op.flags.f_contiguous
+
+    @pytest.mark.parametrize("l, n_samples", [(30, 10), (60, 50), (60, 100)])
+    def test_factors_on_regressors_equal_scipy_route(self, l, n_samples):
+        # Shifted regressors put exact zeros in orth.T.  With fewer samples
+        # than lags, the LU solve and scipy's triangular solve then give
+        # some zeros of solve_op opposite signs; every value is equal.
+        u = np.random.default_rng(l + n_samples).normal(size=n_samples)
+        op = StackedOperator(HankelDims(l, 10), build_phi(u, l))
+        c = np.vstack([np.diag(op.sqrt_counts), op.phi])
+        orth, r_factor = scipy.linalg.qr(c, mode="economic")
+        solve_op = scipy.linalg.solve_triangular(r_factor, orth.T)
+        solve_op[:, :l] /= op.sqrt_counts
+        assert_bitwise(op.orth, orth)
+        assert_bitwise(op.r_factor, r_factor)
+        assert np.array_equal(op.solve_op, solve_op)
+        if n_samples >= l:
+            assert_bitwise(op.solve_op, solve_op)
 
     @pytest.mark.parametrize("l, n, n_samples", [(11, 5, 6), (60, 20, 100), (120, 40, 400)])
     def test_solve_normal_matches_triangular_reference(self, l, n, n_samples):

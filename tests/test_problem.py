@@ -20,6 +20,21 @@ def make_data(seed=0, n_samples=80):
     return rng, u
 
 
+def cho_route(a, b):
+    # Reference: the upper Cholesky factor and solve as scipy.linalg has them.
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
+
+
+def relay_data(seed):
+    from rcadmm.simulate import default_scenario, simulate_relay
+
+    return simulate_relay(default_scenario(seed)).data
+
+
+def rel_diff(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 class TestBuildPhi:
     def test_small_literal(self):
         np.testing.assert_array_equal(
@@ -44,6 +59,14 @@ class TestBuildPhi:
         kernel = np.concatenate(([0.0], theta))
         y_conv = np.convolve(u, kernel)[:40]
         np.testing.assert_allclose(build_phi(u, 7) @ theta, y_conv, atol=1e-12)
+
+    @pytest.mark.parametrize("n_samples, l", [(1, 1), (2, 5), (10, 4), (100, 60), (40, 120)])
+    def test_bitwise_equals_scipy_toeplitz(self, n_samples, l):
+        _, u = make_data(8, n_samples)
+        want = scipy.linalg.toeplitz(np.concatenate(([0.0], u[:-1])), np.zeros(l))
+        got = build_phi(u, l)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert got.flags.c_contiguous == want.flags.c_contiguous
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -72,6 +95,24 @@ class TestLeastSquares:
         phi = build_phi(u, 8)
         res = y - phi @ least_squares_estimate(data, 8)
         np.testing.assert_allclose(phi.T @ res, np.zeros(8), atol=1e-9)
+
+    @pytest.mark.parametrize("l", [1, 5, 30, 60])
+    def test_matches_cho_factor_route(self, l):
+        rng, u = make_data(9, 200)
+        data = RegressionData(u, rng.normal(size=200))
+        phi = build_phi(u, l)
+        want = cho_route(phi.T @ phi, phi.T @ data.y)
+        assert rel_diff(least_squares_estimate(data, l), want) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_cho_factor_route_on_relay_data(self, seed):
+        # The relay input's Gram matrix at l = 60 has condition number
+        # about 2e4; over seeds 0-19 the two routes differed by at most
+        # 7.4e-13 relative.
+        data = relay_data(seed)
+        phi = build_phi(data.u, 60)
+        want = cho_route(phi.T @ phi, phi.T @ data.y)
+        assert rel_diff(least_squares_estimate(data, 60), want) <= 1e-12
 
     def test_singular_normal_matrix(self):
         data = RegressionData(np.zeros(30), np.ones(30))
@@ -119,6 +160,25 @@ class TestKernelInitialize:
             err_ls = np.linalg.norm(least_squares_estimate(data, 60) - theta_true)
             wins += err_kernel < err_ls
         assert wins >= 70
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("l", [8, 30, 60])
+    def test_matches_cho_factor_route(self, seed, l):
+        data = relay_data(seed)
+        phi = build_phi(data.u, l)
+        k_inv = cho_route(tc_kernel(l, KernelConfig()), np.eye(l))
+        a = phi.T @ phi + k_inv
+        want = cho_route(0.5 * (a + a.T), phi.T @ data.y)
+        assert rel_diff(kernel_initialize(data, l), want) <= 1e-12
+
+    def test_indefinite_kernel_is_value_error(self, monkeypatch):
+        # tc_kernel is positive definite for every valid config; a kernel
+        # that is not still fails as a ValueError, not a LinAlgError.
+        import rcadmm.problem as problem
+
+        monkeypatch.setattr(problem, "tc_kernel", lambda l, cfg: -np.eye(l))
+        with pytest.raises(ValueError, match="kernel matrix is not positive definite"):
+            kernel_initialize(relay_data(0), 8)
 
     def test_invalid_kernel_config(self):
         for kwargs in [dict(decay=1.0), dict(decay=0.0), dict(scale=0.0), dict(gamma=0.0)]:

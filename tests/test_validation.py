@@ -1,12 +1,14 @@
 """Range checks of the configuration types reject NaN, and infinity
-where a value sets a sample count or a noise level.
+where a value sets a sample count, a noise level, the starting penalty or
+the stopping tolerance.
 
 Each check is written ``not x > bound`` (or ``>=``), which NaN fails,
 rather than ``x <= bound``, which NaN passes; Python's ``json`` reads a
 bare ``NaN`` or ``Infinity``, so a config file can carry one.  An
 infinite duration, sample period or plant delay would overflow the
 rounding to whole steps, and an infinite noise variance would write an
-infinite output.
+infinite output; an infinite beta0 makes the first sweep all NaN, and
+an infinite eps_tol stops every run after one iteration.
 """
 
 from dataclasses import replace
@@ -42,6 +44,8 @@ CASES = [
     (SCENARIO, "dt", INF),
     (SCENARIO, "noise_var", INF),
     (SCENARIO.plant, "delay", INF),
+    (DriverConfig(), "beta0", INF),
+    (DriverConfig(), "eps_tol", INF),
 ]
 
 
@@ -56,3 +60,10 @@ CASES = [
 def test_nan_rejected(default, key, value):
     with pytest.raises(ValueError):
         replace(default, **{key: value})
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_negative_scenario_seed_rejected(seed):
+    # numpy's generator would reject it later, without naming the key.
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        replace(SCENARIO, seed=seed)

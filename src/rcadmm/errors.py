@@ -6,7 +6,8 @@ class IllConditionedError(RuntimeError):
 
 
 class SensitivityUnavailable(RuntimeError):
-    """Singular-value spectrum too degenerate to differentiate the truncation."""
+    """No gap between sigma_r and sigma_{r+1}: the rank-r truncation is not
+    differentiable there."""
 
 
 class NumericFailure(RuntimeError):

@@ -7,8 +7,8 @@ Conventions used throughout the package:
   ``(l + 1 - n, n)`` and entries ``H[i, j] = x[i + j]`` (0-based), so every
   anti-diagonal is constant.
 * Only tall-or-square Hankel shapes are supported: ``l + 1 - n >= n >= 2``.
-* SVD factors are sign-fixed so the largest-magnitude entry of each left
-  singular vector is positive, making factor output deterministic.
+* SVD factors carry LAPACK's column signs; the truncation and its slope
+  (``svd_calc``) are bitwise the same under any column-pair flip.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IllConditionedError
 
-# Relative threshold below which adjacent singular values count as tied.
+# Below this fraction of sigma_1, a singular value or a gap counts as zero.
 GAP_RTOL = 1e-10
 
 
@@ -58,17 +58,11 @@ class SvdTriple:
     V: np.ndarray
 
 
-def fixed_sign_svd(a: np.ndarray) -> SvdTriple:
-    """Economy SVD with the deterministic sign convention.
-
-    Each column pair (U_j, V_j) is flipped so the largest-magnitude entry
-    of U_j is positive; ties resolve to the first maximal index.
-    """
+def economy_svd(a: np.ndarray) -> SvdTriple:
+    """Economy SVD of ``a`` as LAPACK returns it."""
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    pivot = np.argmax(np.abs(u), axis=0)
-    sign = np.where(u[pivot, np.arange(u.shape[1])] < 0, -1.0, 1.0)
     # V stays C-ordered: how BLAS rounds the products with V depends on its layout.
-    return SvdTriple(U=u * sign, s=s, V=np.multiply(vt.T, sign, order="C"))
+    return SvdTriple(U=u, s=s, V=np.ascontiguousarray(vt.T))
 
 
 def truncated_svd_projection(a: np.ndarray, r: int) -> tuple[np.ndarray, SvdTriple]:
@@ -80,7 +74,7 @@ def truncated_svd_projection(a: np.ndarray, r: int) -> tuple[np.ndarray, SvdTrip
     """
     if r < 0:
         raise ValueError(f"rank must be nonnegative, got {r}")
-    svd = fixed_sign_svd(a)
+    svd = economy_svd(a)
     if r > svd.s.size:
         raise ValueError(f"rank {r} exceeds spectrum size {svd.s.size}")
     z = (svd.U[:, :r] * svd.s[:r]) @ svd.V[:, :r].T

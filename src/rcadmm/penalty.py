@@ -39,8 +39,8 @@ def _clamp(beta):
 class IncrementDiagnostics:
     """Augmented Lagrangian increment of one w-sweep and its beta-slope.
 
-    ``slope`` is None when the sweep's SVD was too degenerate to
-    differentiate.
+    ``slope`` is None when the sweep's SVD had no gap between sigma_r and
+    sigma_{r+1}, where the truncation is not differentiable.
     """
 
     delta_l: float
@@ -115,8 +115,9 @@ def increment_diagnostics(problem, w_prev, theta_prev, mu_prev, iterate):
     """Evaluate the increment and, when possible, its beta-slope.
 
     ``iterate`` is the sweep output produced from (theta_prev, mu_prev)
-    at ``iterate.beta``.  A degenerate spectrum in the sweep's SVD makes
-    the slope unavailable; the increment value itself is always defined.
+    at ``iterate.beta``.  A tie of sigma_r and sigma_{r+1} in the sweep's
+    SVD makes the slope unavailable; the increment value itself is always
+    defined.
     """
     parts = _increment_parts(problem, w_prev, theta_prev, iterate.w)
     value = lagrangian_increment(

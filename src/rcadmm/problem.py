@@ -35,6 +35,8 @@ class RegressionData:
             raise ValueError(
                 f"u and y must be 1-d arrays of equal length, got {self.u.shape} and {self.y.shape}"
             )
+        if self.u.size == 0:
+            raise ValueError("empty data record")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.y))):
             raise ValueError("data contains non-finite samples")
 
@@ -173,8 +175,6 @@ def assemble_problem(data: RegressionData, l: int, n: int, r: int) -> RcpProblem
     dims = HankelDims(l, n)
     if not 0 < r < n:
         raise ValueError(f"rank must satisfy 0 < r < n, got r={r}, n={n}")
-    if data.n_samples < 1:
-        raise ValueError("empty data record")
     phi = build_phi(data.u, l)
     qfac = StackedOperator(dims, phi)
     y_tilde = np.concatenate([np.zeros(dims.size), -data.y])

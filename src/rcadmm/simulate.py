@@ -59,10 +59,10 @@ class RelayConfig:
     hysteresis: float = 0.01
 
     def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise ValueError("relay amplitude must be positive")
-        if not self.hysteresis >= 0.0:
-            raise ValueError("relay hysteresis must be nonnegative")
+        if not 0.0 < self.amplitude < np.inf:
+            raise ValueError("relay amplitude must be positive and finite")
+        if not 0.0 <= self.hysteresis < np.inf:
+            raise ValueError("relay hysteresis must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -121,24 +121,23 @@ class SimulationResult:
         return RegressionData(self.u, self.y)
 
 
-def _rk4_matrices(a, b, step):
-    # Degree-four Taylor truncation: identical to one classic RK4 step
-    # for x' = A x + B u with u held over the step.
-    eye = np.eye(a.shape[0])
-    f = eye.copy()
-    g_acc = np.zeros_like(a)
-    term = eye
-    for order in range(1, 5):
-        g_acc = g_acc + term * step / order
-        term = term @ a * step / order
-        f = f + term
-    return f, g_acc @ b
+def _taylor_terms(a, step, degree):
+    """``(a step)^k / k!`` for k = 0..degree, each term formed from the
+    last as ``term @ a * step / k``."""
+    terms = [np.eye(a.shape[0])]
+    for order in range(1, degree + 1):
+        terms.append(terms[-1] @ a * step / order)
+    return terms
 
 
 def _relay_loop(a, b, c, scn):
     """Integrate the closed loop; returns sampled u and clean y."""
-    per_sample, delay_steps = scn.per_sample, scn.delay_steps
-    f_mat, g_vec = _rk4_matrices(a, b, scn.fine_step)
+    per_sample, delay_steps, step = scn.per_sample, scn.delay_steps, scn.fine_step
+    # One classic RK4 step of x' = A x + B u with u held over the step is
+    # the degree-four Taylor truncation x+ = F x + G u.
+    terms = _taylor_terms(a, step, 4)
+    f_mat = sum(terms)
+    g_vec = sum(t * step / k for k, t in enumerate(terms[:4], 1)) @ b
     # Python floats, not numpy scalars: an output that overflows becomes
     # inf or nan without a RuntimeWarning, for simulate_relay to reject.
     (f11, f12), (f21, f22) = f_mat.tolist()
@@ -203,11 +202,7 @@ def expm(a):
     few.
     """
     squarings = max(0, math.frexp(np.linalg.norm(a, 1))[1] - 1)
-    scaled = a / 2.0**squarings
-    term = result = np.eye(a.shape[0])
-    for order in range(1, 23):
-        term = term @ scaled / order
-        result = result + term
+    result = sum(_taylor_terms(a / 2.0**squarings, 1.0, 22))
     for _ in range(squarings):
         result = result @ result
     return result

@@ -13,8 +13,11 @@ that basis: U' dZ V = M with
 and dZ = U M V' + (dOmega V_r - U Theta[:, :r]) V_r', the last term being
 the part of dOmega V_r outside the range of U. The e block follows by
 differentiating the closed-form e update, and dw = [vec(dZ); de] is
-stacked for the penalty rule. The formula holds only while the spectrum
-is simple and nonzero.
+stacked for the penalty rule. M divides by s_r^2 - s_j^2 (j > r) only,
+so the formula needs the gap s_r > s_{r+1} and nothing else: ties inside
+the kept or the discarded block, and zeros in the tail, leave it defined.
+Flipping the sign of a column pair (U_j, V_j) negates the j-th row and
+column of Theta and M exactly, so dZ does not depend on the SVD's signs.
 """
 from __future__ import annotations
 
@@ -23,17 +26,6 @@ import numpy as np
 from .errors import SensitivityUnavailable
 from .hankel import GAP_RTOL, SvdTriple
 from .problem import RcpProblem
-
-
-def spectrum_degenerate(s: np.ndarray) -> bool:
-    """True when any adjacent singular values tie or the spectrum hits zero,
-    both relative to sigma_1."""
-    s = np.asarray(s, dtype=float)
-    if s[0] <= 0.0:
-        return True
-    if s[-1] < GAP_RTOL * s[0]:
-        return True
-    return bool(np.min(s[:-1] - s[1:]) < GAP_RTOL * s[0])
 
 
 def e_derivative(
@@ -54,14 +46,16 @@ def w_derivative(
     """Stacked dw/dbeta = [vec(dZ); de] of one w update.
 
     ``theta`` and ``lam_mat`` are the pre-step values the update consumed,
-    ``svd``/``e_new`` its outputs. Raises SensitivityUnavailable when the
-    spectrum is degenerate (`spectrum_degenerate`): the truncation is not
+    ``svd``/``e_new`` its outputs. Raises SensitivityUnavailable when
+    s_r - s_{r+1} is not above ``GAP_RTOL`` s_1: the truncation is not
     differentiable there and the penalty rule holds beta.
     """
-    if spectrum_degenerate(svd.s):
-        raise SensitivityUnavailable("singular-value spectrum is degenerate")
     r = problem.r
     u, s, v = svd.U, svd.s, svd.V
+    if not s[r - 1] - s[r] > GAP_RTOL * s[0]:
+        raise SensitivityUnavailable(
+            f"no gap between singular values {r} and {r + 1}: {s[r - 1]:.3e}, {s[r]:.3e}"
+        )
     d_omega = -lam_mat / beta**2
     dov = d_omega @ v
     t = u.T @ dov

@@ -9,9 +9,9 @@
       G_ij = 1 / (s_j^2 - s_i^2),  G_ii = 0,
 
   with Theta = U' dOmega V, then the product rule through the kept
-  rank-r triplets.  `svd_calc.w_derivative` gets dZ from one formula in
-  the SVD basis instead; both hold only while the spectrum is simple
-  and nonzero.
+  rank-r triplets.  The factors need a simple, nonzero spectrum
+  (`spectrum_degenerate`); `svd_calc.w_derivative` gets dZ from one
+  formula in the SVD basis instead, which needs only the gap at r.
 - A literal transcription of the plain (non-accelerated) driver loop.
 - The affine contraction G(x) = x/2 + c that Anderson steps solve at once.
 """
@@ -21,8 +21,19 @@ import numpy as np
 from rcadmm.admm import admm_step, initial_state, residuals
 from rcadmm.driver import AndersonWindow, anderson_coefficients
 from rcadmm.errors import SensitivityUnavailable
+from rcadmm.hankel import GAP_RTOL
 from rcadmm.penalty import increment_diagnostics, update_penalty
-from rcadmm.svd_calc import spectrum_degenerate
+
+
+def spectrum_degenerate(s):
+    """True when any adjacent singular values tie or the spectrum hits zero,
+    both relative to sigma_1."""
+    s = np.asarray(s, dtype=float)
+    if s[0] <= 0.0:
+        return True
+    if s[-1] < GAP_RTOL * s[0]:
+        return True
+    return bool(np.min(s[:-1] - s[1:]) < GAP_RTOL * s[0])
 
 
 def gain_matrix(s):

@@ -17,13 +17,14 @@ from reference import (
     aligned_factors,
     reference_plain_loop,
     run_contraction,
+    spectrum_degenerate,
     svd_factor_derivatives,
     z_derivative,
 )
 from rcadmm.admm import admm_step, initial_state, residuals, update_w
 from rcadmm.cli import main
 from rcadmm.driver import DriverConfig, solve
-from rcadmm.hankel import fixed_sign_svd, truncated_svd_projection
+from rcadmm.hankel import economy_svd, truncated_svd_projection
 from rcadmm.penalty import (
     ConstantPenalty,
     MultiplicativePenalty,
@@ -36,7 +37,7 @@ from rcadmm.penalty import (
 from rcadmm.problem import RegressionData, assemble_problem
 from rcadmm.serialize import write_json
 from rcadmm.simulate import ExperimentCell, default_scenario, monte_carlo, simulate_relay
-from rcadmm.svd_calc import e_derivative, spectrum_degenerate
+from rcadmm.svd_calc import e_derivative
 
 RUNS = 100
 K_MAX = 500
@@ -239,7 +240,7 @@ def test_criterion_02_svd_calculus():
         problem, theta, lam_mat, lam_vec, beta = random_instance(seed)
         seed += 1
         omega = -problem.hankel(theta) + lam_mat / beta
-        svd = fixed_sign_svd(omega)
+        svd = economy_svd(omega)
         if spectrum_degenerate(svd.s):
             continue
         checked += 1
@@ -251,8 +252,8 @@ def test_criterion_02_svd_calculus():
         de = e_derivative(problem, theta, e_new, beta)
 
         delta = 1e-6 * beta
-        hi = fixed_sign_svd(-problem.hankel(theta) + lam_mat / (beta + delta))
-        lo = fixed_sign_svd(-problem.hankel(theta) + lam_mat / (beta - delta))
+        hi = economy_svd(-problem.hankel(theta) + lam_mat / (beta + delta))
+        lo = economy_svd(-problem.hankel(theta) + lam_mat / (beta - delta))
         u_hi, v_hi = aligned_factors(svd, hi)
         u_lo, v_lo = aligned_factors(svd, lo)
         worst["ds"] = max(worst["ds"], rel_err(ds, (hi.s - lo.s) / (2 * delta)))

@@ -376,6 +376,21 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["amplitude", "hysteresis"])
+    def test_infinite_relay_value_exits_1(self, tmp_path, capsys, key):
+        # An infinite amplitude overflowed the plant output (reported as a
+        # NumericFailure); an infinite hysteresis never let the relay switch.
+        scenario = dict(TINY_SCENARIO, relay={key: float("inf")})
+        cfg = write_config(tmp_path / "sim.json", {"scenario": scenario})
+        assert "Infinity" in (tmp_path / "sim.json").read_text()
+        out = tmp_path / "data.csv"
+        rc = main(["simulate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: invalid scenario.relay settings: relay {key} must be")
+        assert "finite" in err
+        assert not out.exists()
+
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         scenario = dict(TINY_SCENARIO, seed=-1)
         cfg = write_config(tmp_path / "sim.json", {"scenario": scenario})

@@ -7,8 +7,7 @@ from rcadmm.problem import build_phi
 from rcadmm.hankel import (
     HankelDims,
     StackedOperator,
-    SvdTriple,
-    fixed_sign_svd,
+    economy_svd,
     truncated_svd_projection,
 )
 
@@ -45,18 +44,6 @@ def projector_matrix(op, size):
 def assert_bitwise(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
-
-
-def reference_fixed_sign_svd(a):
-    # Copy-and-mask flip: the previous kernel, kept as the reference.
-    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    v = vt.T.copy()
-    u = u.copy()
-    pivot = np.argmax(np.abs(u), axis=0)
-    flip = u[pivot, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
-    return SvdTriple(U=u, s=s, V=v)
 
 
 def reference_solve_normal(op, v):
@@ -185,28 +172,13 @@ class TestTruncatedSvd:
     def test_factors_orthonormal_and_reconstruct(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(8, 5))
-        svd = fixed_sign_svd(a)
+        svd = economy_svd(a)
         np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(5), atol=1e-12)
         np.testing.assert_allclose(svd.V.T @ svd.V, np.eye(5), atol=1e-12)
         np.testing.assert_allclose((svd.U * svd.s) @ svd.V.T, a, atol=1e-12)
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            svd = fixed_sign_svd(rng.normal(size=(6, 3)))
-            peaks = svd.U[np.argmax(np.abs(svd.U), axis=0), np.arange(3)]
-            assert np.all(peaks > 0)
-
-    @pytest.mark.parametrize("shape", [(6, 3), (41, 20), (81, 40)])
-    def test_sign_flip_bitwise_equals_reference(self, shape):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a = rng.normal(size=shape)
-            svd, ref = fixed_sign_svd(a), reference_fixed_sign_svd(a)
-            for got, want in ((svd.U, ref.U), (svd.s, ref.s), (svd.V, ref.V)):
-                assert_bitwise(got, want)
-            # Same memory order as the reference, so products with V round alike.
-            assert svd.V.flags.c_contiguous
+        # C-ordered, as the sweep's figures were produced with: how BLAS
+        # rounds the products with V depends on its layout.
+        assert svd.V.flags.c_contiguous
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):

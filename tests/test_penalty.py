@@ -56,6 +56,20 @@ def replay_increment(problem, w, theta, mu, beta):
     )
 
 
+def sweep_with_spectrum(problem, spectrum, beta, seed=0):
+    """(w, theta, mu, iterate) for a sweep at `beta` whose matrix
+    Omega = -H(theta) + Lam / beta is U diag(spectrum) V' for random
+    orthonormal U and V; Lam is chosen to make it so."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(problem.dims.rows, problem.n)))[0]
+    v = np.linalg.qr(rng.normal(size=(problem.n, problem.n)))[0]
+    theta = rng.normal(size=problem.l)
+    lam_mat = beta * ((u * spectrum) @ v.T + problem.hankel(theta))
+    mu = problem.stack_w(lam_mat, rng.normal(size=problem.n_samples))
+    w = rng.normal(size=problem.w_size)
+    return w, theta, mu, admm_step(problem, theta, mu, beta)
+
+
 def fake_report(primal_sq, dual_sq):
     from rcadmm.admm import ResidualReport
 
@@ -212,17 +226,35 @@ class TestIncrement:
         assert abs(slope) <= 1e-20
 
     def test_degenerate_spectrum_reports_unavailable(self):
-        # A rank-deficient sweep matrix has a zero singular-value tail,
-        # so the slope is unavailable and the adaptive rule holds.
-        prob, theta_true = feasible_problem()
-        z = -prob.hankel(theta_true)
-        w = prob.stack_w(z, np.zeros(prob.n_samples))
-        mu = np.zeros(prob.w_size)
-        it = admm_step(prob, theta_true, mu, 2.0)
-        diag = increment_diagnostics(prob, w, theta_true, mu, it)
+        # sigma_r = sigma_{r+1} in the sweep's SVD: the truncation is not
+        # differentiable, so the slope is unavailable and the rule holds.
+        prob = small_problem(6)
+        w, theta, mu, it = sweep_with_spectrum(prob, [2.0, 1.0, 1.0, 0.5], 2.0)
+        diag = increment_diagnostics(prob, w, theta, mu, it)
         assert diag.slope is None
         assert np.isfinite(diag.delta_l)
         assert update_penalty(SelfAdaptivePenalty(), 2.0, None, diag) == 2.0
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["feasible", "planted"])
+    def test_zero_tail_slope_matches_finite_difference(self, planted):
+        # A rank-deficient sweep matrix has a zero singular-value tail but
+        # a clean gap at r = 2, so the slope exists.  At the feasible point
+        # (zero duals) it is ~1e-30; the planted duals make it O(1e-2).
+        if planted:
+            prob = small_problem(7)
+            w, theta, mu, it = sweep_with_spectrum(prob, [2.0, 1.0, 0.0, 0.0], 2.0)
+        else:
+            prob, theta = feasible_problem()
+            w = prob.stack_w(-prob.hankel(theta), np.zeros(prob.n_samples))
+            mu = np.zeros(prob.w_size)
+            it = admm_step(prob, theta, mu, 2.0)
+        assert it.svd.s[-1] <= 1e-15 * it.svd.s[0]
+        diag = increment_diagnostics(prob, w, theta, mu, it)
+        delta = 1e-5 * 2.0
+        hi = replay_increment(prob, w, theta, mu, 2.0 + delta)
+        lo = replay_increment(prob, w, theta, mu, 2.0 - delta)
+        fd = (hi - lo) / (2 * delta)
+        assert abs(diag.slope - fd) <= 1e-6 * abs(fd)
 
     def test_diagnostics_available_on_generic_problem(self):
         prob = small_problem(11)

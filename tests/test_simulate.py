@@ -23,7 +23,7 @@ from rcadmm.simulate import (
     RelayConfig,
     SotdPlant,
     _relay_loop,
-    _rk4_matrices,
+    _taylor_terms,
     default_scenario,
     monte_carlo,
     simulate_relay,
@@ -143,12 +143,32 @@ print(result.termination, mc.cells["sa-aa"].runs, mc.cells["sa-aa"].failures)
         assert run.stdout.split() == ["max_iterations", "2", "0"]
 
 
+def rk4_matrices(a, b, step):
+    """F and G of the relay loop's step x+ = F x + G u, from the Taylor terms."""
+    terms = _taylor_terms(a, step, 4)
+    return sum(terms), sum(t * step / k for k, t in enumerate(terms[:4], 1)) @ b
+
+
+def test_rk4_matrices_match_a_classic_rk4_step():
+    a, b, _ = default_scenario().plant.state_space()
+    rng = np.random.default_rng(9)
+    for step in (0.005, 0.01, 0.05):
+        f_mat, g_vec = rk4_matrices(a, b, step)
+        x, u = rng.normal(size=2), float(rng.normal())
+        k1 = a @ x + b * u
+        k2 = a @ (x + step / 2 * k1) + b * u
+        k3 = a @ (x + step / 2 * k2) + b * u
+        k4 = a @ (x + step * k3) + b * u
+        want = x + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        np.testing.assert_allclose(f_mat @ x + g_vec * u, want, rtol=1e-14, atol=1e-15)
+
+
 def _reference_relay_loop(a, b, c, scn):
     """The relay loop with the held input of every fine step in a list."""
     per_sample = round(scn.dt / scn.fine_step)
     n_fine = per_sample * scn.n_samples
     delay_steps = round(scn.plant.delay / scn.fine_step)
-    f_mat, g_vec = _rk4_matrices(a, b, scn.fine_step)
+    f_mat, g_vec = rk4_matrices(a, b, scn.fine_step)
     f11, f12 = f_mat[0]
     f21, f22 = f_mat[1]
     g1, g2 = g_vec

@@ -3,14 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import aligned_factors, gain_matrix, svd_factor_derivatives, z_derivative
+from reference import (
+    aligned_factors,
+    gain_matrix,
+    spectrum_degenerate,
+    svd_factor_derivatives,
+    z_derivative,
+)
+from rcadmm import hankel
 from rcadmm.admm import update_w
 from rcadmm.driver import DriverConfig, solve
 from rcadmm.errors import SensitivityUnavailable
-from rcadmm.hankel import fixed_sign_svd
+from rcadmm.hankel import SvdTriple, economy_svd
 from rcadmm.penalty import SelfAdaptivePenalty
 from rcadmm.problem import RegressionData, assemble_problem
-from rcadmm.svd_calc import e_derivative, spectrum_degenerate, w_derivative
+from rcadmm.svd_calc import e_derivative, w_derivative
 
 
 def make_instance(seed, l=9, n=4, r=2, beta=1.3, n_samples=20, lam_scale=1.0):
@@ -58,7 +65,7 @@ class TestFactorDerivatives:
         a = rng.normal(size=(3, 3))
         lam = rng.normal(size=(3, 3))
         beta = 1.7
-        svd = fixed_sign_svd(a + lam / beta)
+        svd = economy_svd(a + lam / beta)
         delta = 1e-6 * beta
         s_hi = np.linalg.svd(a + lam / (beta + delta), compute_uv=False)
         s_lo = np.linalg.svd(a + lam / (beta - delta), compute_uv=False)
@@ -68,7 +75,7 @@ class TestFactorDerivatives:
 
     def test_zero_domega_gives_zero(self):
         prob, theta, lam_mat, _, beta, _ = make_instance(4)
-        svd = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta))
+        svd = economy_svd(omega_of(prob, theta, lam_mat, beta))
         du, ds, dv = svd_factor_derivatives(svd, np.zeros((6, 4)))
         np.testing.assert_array_equal(du, np.zeros((6, 4)))
         np.testing.assert_array_equal(ds, np.zeros(4))
@@ -77,7 +84,7 @@ class TestFactorDerivatives:
     def test_orthogonality_tangent(self):
         # U'U = I along the branch forces U'dU antisymmetric (same for V).
         prob, theta, lam_mat, _, beta, _ = make_instance(5)
-        svd = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta))
+        svd = economy_svd(omega_of(prob, theta, lam_mat, beta))
         du, _, dv = svd_factor_derivatives(svd, -lam_mat / beta**2)
         skew_u = svd.U.T @ du
         skew_v = svd.V.T @ dv
@@ -87,12 +94,12 @@ class TestFactorDerivatives:
     def test_finite_difference_factors(self):
         prob, theta, lam_mat, _, beta, _ = make_instance(6, l=11, n=5, r=2)
         omega = omega_of(prob, theta, lam_mat, beta)
-        svd = fixed_sign_svd(omega)
+        svd = economy_svd(omega)
         du, ds, dv = svd_factor_derivatives(svd, -lam_mat / beta**2)
 
         delta = 1e-6 * beta
-        hi = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta + delta))
-        lo = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta - delta))
+        hi = economy_svd(omega_of(prob, theta, lam_mat, beta + delta))
+        lo = economy_svd(omega_of(prob, theta, lam_mat, beta - delta))
         u_hi, v_hi = aligned_factors(svd, hi)
         u_lo, v_lo = aligned_factors(svd, lo)
 
@@ -103,7 +110,7 @@ class TestFactorDerivatives:
     def test_first_order_reconstruction(self):
         prob, theta, lam_mat, _, beta, _ = make_instance(7)
         omega = omega_of(prob, theta, lam_mat, beta)
-        svd = fixed_sign_svd(omega)
+        svd = economy_svd(omega)
         du, ds, dv = svd_factor_derivatives(svd, -lam_mat / beta**2)
         delta = 1e-4 * beta
         omega_hi = omega_of(prob, theta, lam_mat, beta + delta)
@@ -111,12 +118,12 @@ class TestFactorDerivatives:
         assert np.linalg.norm(omega_hi - recon) <= 1e-6 * np.linalg.norm(omega)
 
     def test_degenerate_spectrum_raises(self):
-        svd = fixed_sign_svd(np.diag([2.0, 1.0, 1.0, 0.5]))
+        svd = economy_svd(np.diag([2.0, 1.0, 1.0, 0.5]))
         with pytest.raises(SensitivityUnavailable):
             svd_factor_derivatives(svd, np.ones((4, 4)))
 
     def test_zero_spectrum_raises(self):
-        svd = fixed_sign_svd(np.diag([1.0, 1e-13, 0.0]))
+        svd = economy_svd(np.diag([1.0, 1e-13, 0.0]))
         with pytest.raises(SensitivityUnavailable):
             svd_factor_derivatives(svd, np.ones((3, 3)))
 
@@ -124,7 +131,7 @@ class TestFactorDerivatives:
 class TestBlockDerivatives:
     def test_z_zero_dual(self):
         prob, theta, lam_mat, _, beta, _ = make_instance(8)
-        svd = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta))
+        svd = economy_svd(omega_of(prob, theta, lam_mat, beta))
         du, ds, dv = svd_factor_derivatives(svd, np.zeros((6, 4)))
         np.testing.assert_array_equal(z_derivative(svd, du, ds, dv, 2), np.zeros((6, 4)))
 
@@ -132,7 +139,7 @@ class TestBlockDerivatives:
         # With r = n the truncation is the identity, so dZ must equal dOmega.
         prob, theta, lam_mat, _, beta, _ = make_instance(9)
         d_omega = -lam_mat / beta**2
-        svd = fixed_sign_svd(omega_of(prob, theta, lam_mat, beta))
+        svd = economy_svd(omega_of(prob, theta, lam_mat, beta))
         du, ds, dv = svd_factor_derivatives(svd, d_omega)
         np.testing.assert_allclose(z_derivative(svd, du, ds, dv, 4), d_omega, atol=1e-10)
 
@@ -189,11 +196,38 @@ class TestBlockDerivatives:
         assert failures == 0
 
     def test_w_derivative_degenerate_raises(self):
+        # sigma_r = sigma_{r+1} at r = 2: the one gap M divides by is zero.
         prob, theta, lam_mat, lam_vec, beta, _ = make_instance(14)
         _, e_new, _ = update_w(prob, theta, lam_mat, lam_vec, beta)
-        degenerate_svd = fixed_sign_svd(np.diag([2.0, 1.0, 1.0, 0.5]))
+        degenerate_svd = economy_svd(np.diag([2.0, 1.0, 1.0, 0.5]))
         with pytest.raises(SensitivityUnavailable):
             w_derivative(prob, theta, lam_mat, beta, degenerate_svd, e_new)
+
+    @pytest.mark.parametrize(
+        "spectrum, r",
+        [([2.0, 1.0, 1.0, 0.5], 3), ([2.0, 1.0, 0.0, 0.0], 2)],
+        ids=["kept-block-tie", "zero-tail"],
+    )
+    def test_w_derivative_defined_off_the_gap(self, spectrum, r):
+        # A tie inside the kept block, or a zero tail, leaves the gap at r
+        # open, so the slope exists and matches a central difference.
+        rng = np.random.default_rng(15)
+        prob = assemble_problem(
+            RegressionData(rng.normal(size=20), rng.normal(size=20)), 9, 4, r
+        )
+        theta, lam_vec, beta = rng.normal(size=9), rng.normal(size=20), 1.3
+        u = np.linalg.qr(rng.normal(size=(6, 4)))[0]
+        v = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        # Lam chosen so that Omega(beta) = -H(theta) + Lam / beta has the spectrum.
+        lam_mat = beta * ((u * spectrum) @ v.T + prob.hankel(theta))
+        _, e_new, svd = update_w(prob, theta, lam_mat, lam_vec, beta)
+        np.testing.assert_allclose(svd.s, spectrum, atol=1e-14)
+        dw = w_derivative(prob, theta, lam_mat, beta, svd, e_new)
+        delta = 1e-5 * beta
+        z_hi, e_hi, _ = update_w(prob, theta, lam_mat, lam_vec, beta + delta)
+        z_lo, e_lo, _ = update_w(prob, theta, lam_mat, lam_vec, beta - delta)
+        fd = (prob.stack_w(z_hi, e_hi) - prob.stack_w(z_lo, e_lo)) / (2 * delta)
+        assert np.linalg.norm(dw - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def factor_route_w_derivative(prob, theta, lam_mat, beta, svd, e_new):
@@ -220,7 +254,7 @@ def planted_blocks(draw):
     s = np.concatenate([[1.0], 1.0 / np.cumprod(ratios)])
     u = np.linalg.qr(rng.normal(size=(rows, n)))[0]
     v = np.linalg.qr(rng.normal(size=(n, n)))[0]
-    return rows, n, r, fixed_sign_svd((u * s) @ v.T), rng
+    return rows, n, r, economy_svd((u * s) @ v.T), rng
 
 
 class TestBasisRoute:
@@ -267,3 +301,33 @@ class TestBasisRoute:
         slopes = [rec.dldbeta for rec in result.records if rec.accepted]
         assert len(slopes) == 61
         assert np.all(np.isfinite(slopes))
+
+
+@st.composite
+def sign_flips(draw):
+    """A random sweep instance and a nonempty set of SVD columns to negate."""
+    n = draw(st.integers(2, 12))
+    rows = n + draw(st.integers(0, 10))
+    r = draw(st.integers(1, n - 1))
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    instance = make_instance(draw(st.integers(0, 2**32 - 1)), l=rows + n - 1, n=n, r=r)
+    return instance[:4], draw(st.floats(0.1, 10.0)), np.where(flips, -1.0, 1.0)
+
+
+class TestSignInvariance:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sign_flips())
+    def test_column_sign_flips_change_no_bit(self, case):
+        # LAPACK's column signs are arbitrary; the truncation Z and the
+        # slope dw must not depend on them, bit for bit.
+        (prob, theta, lam_mat, lam_vec), beta, sign = case
+        z, e_new, svd = update_w(prob, theta, lam_mat, lam_vec, beta)
+        dw = w_derivative(prob, theta, lam_mat, beta, svd, e_new)
+        flipped = SvdTriple(U=svd.U * sign, s=svd.s, V=np.multiply(svd.V, sign, order="C"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hankel, "economy_svd", lambda a: flipped)
+            z_flipped, _, svd_flipped = update_w(prob, theta, lam_mat, lam_vec, beta)
+        assert svd_flipped is flipped
+        assert z_flipped.tobytes() == z.tobytes()
+        dw_flipped = w_derivative(prob, theta, lam_mat, beta, flipped, e_new)
+        assert dw_flipped.tobytes() == dw.tobytes()

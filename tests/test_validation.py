@@ -8,16 +8,19 @@ bare ``NaN`` or ``Infinity``, so a config file can carry one.  An
 infinite duration, sample period or plant delay would overflow the
 rounding to whole steps, and an infinite noise variance would write an
 infinite output; an infinite beta0 makes the first sweep all NaN, and
-an infinite eps_tol stops every run after one iteration.
+an infinite eps_tol stops every run after one iteration.  An infinite
+relay amplitude overflows the plant output, and an infinite hysteresis
+never lets the relay switch.
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rcadmm.driver import DriverConfig
 from rcadmm.penalty import MultiplicativePenalty, ResidualBasedPenalty
-from rcadmm.problem import KernelConfig
+from rcadmm.problem import KernelConfig, RegressionData
 from rcadmm.simulate import RelayConfig, default_scenario
 
 NAN = float("nan")
@@ -46,6 +49,8 @@ CASES = [
     (SCENARIO.plant, "delay", INF),
     (DriverConfig(), "beta0", INF),
     (DriverConfig(), "eps_tol", INF),
+    (RelayConfig(), "amplitude", INF),
+    (RelayConfig(), "hysteresis", INF),
 ]
 
 
@@ -67,3 +72,10 @@ def test_negative_scenario_seed_rejected(seed):
     # numpy's generator would reject it later, without naming the key.
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         replace(SCENARIO, seed=seed)
+
+
+def test_empty_record_rejected():
+    # A 0 x l regressor would give an all-zero kernel start, and least
+    # squares would fail as "normal matrix is singular".
+    with pytest.raises(ValueError, match="empty data record"):
+        RegressionData(np.zeros(0), np.zeros(0))

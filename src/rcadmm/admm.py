@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hankel import SvdTriple, truncated_svd_projection
+from .hankel import ScaledSvd, truncated_svd_projection
 from .problem import KernelConfig, RcpProblem, kernel_initialize
 
 
@@ -33,7 +33,7 @@ class AdmmIterate:
     theta: np.ndarray
     primal: np.ndarray
     beta: float
-    svd: SvdTriple
+    svd: ScaledSvd
     e: np.ndarray
 
 
@@ -95,7 +95,7 @@ def update_w(
     lam_mat: np.ndarray,
     lam_vec: np.ndarray,
     beta: float,
-) -> tuple[np.ndarray, np.ndarray, SvdTriple]:
+) -> tuple[np.ndarray, np.ndarray, ScaledSvd]:
     """Rank-constrained Z block and closed-form e block."""
     _check_beta(beta)
     omega = -problem.hankel(theta) + lam_mat / beta

@@ -7,8 +7,8 @@ Conventions used throughout the package:
   ``(l + 1 - n, n)`` and entries ``H[i, j] = x[i + j]`` (0-based), so every
   anti-diagonal is constant.
 * Only tall-or-square Hankel shapes are supported: ``l + 1 - n >= n >= 2``.
-* SVD factors carry LAPACK's column signs; the truncation and its slope
-  (``svd_calc``) are bitwise the same under any column-pair flip.
+* The rank truncation is one ``eigh`` of the Gram matrix ``A'A``; it and
+  its slope (``svd_calc``) are bitwise the same under any column-pair flip.
 """
 from __future__ import annotations
 
@@ -50,35 +50,34 @@ class HankelDims:
 
 
 @dataclass
-class SvdTriple:
-    """Economy SVD ``A = U @ diag(s) @ V.T`` with ``s`` descending."""
+class ScaledSvd:
+    """``A = B @ V.T`` with ``B = A V = U diag(s)``, ``s`` descending; no ``U``."""
 
-    U: np.ndarray
+    B: np.ndarray
     s: np.ndarray
     V: np.ndarray
 
 
-def economy_svd(a: np.ndarray) -> SvdTriple:
-    """Economy SVD of ``a`` as LAPACK returns it."""
-    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    # V stays C-ordered: how BLAS rounds the products with V depends on its layout.
-    return SvdTriple(U=u, s=s, V=np.ascontiguousarray(vt.T))
+def truncated_svd_projection(a: np.ndarray, r: int) -> tuple[np.ndarray, ScaledSvd]:
+    """Closest (Frobenius) rank-``r`` matrix to a tall-or-square ``a``, plus
+    the factors of the whole spectrum, for callers that differentiate or
+    inspect the discarded tail.
 
-
-def truncated_svd_projection(a: np.ndarray, r: int) -> tuple[np.ndarray, SvdTriple]:
-    """Closest (Frobenius) rank-``r`` matrix to ``a``, plus the full factors.
-
-    Keeps the ``r`` leading singular triplets and zeroes the rest. The
-    returned factors cover the whole spectrum so callers can differentiate
-    or inspect the discarded tail.
+    One ``eigh`` of ``a'a`` gives ``s^2`` and ``V``, then ``B = a V`` and
+    ``Z = B_r V_r'``: no singular value is a divisor.  Squaring resolves a
+    zero tail only to about sqrt(eps) s_1, but Z needs only the span of
+    ``V_r``; its error bound exceeds a LAPACK SVD's by a factor of at most
+    s_1 / (s_r + s_{r+1}).  IEEE negation is exact, so negating a column
+    pair ``(B_j, V_j)`` leaves Z bitwise the same.
     """
-    if r < 0:
-        raise ValueError(f"rank must be nonnegative, got {r}")
-    svd = economy_svd(a)
-    if r > svd.s.size:
-        raise ValueError(f"rank {r} exceeds spectrum size {svd.s.size}")
-    z = (svd.U[:, :r] * svd.s[:r]) @ svd.V[:, :r].T
-    return z, svd
+    if not 0 <= r <= a.shape[1]:
+        raise ValueError(f"rank must lie in [0, {a.shape[1]}], got {r}")
+    lam, v = np.linalg.eigh(a.T @ a)
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    # V stays C-ordered: how BLAS rounds the products with V depends on its layout.
+    v = np.ascontiguousarray(v[:, ::-1])
+    b = a @ v
+    return b[:, :r] @ v[:, :r].T, ScaledSvd(B=b, s=s, V=v)
 
 
 class StackedOperator:

@@ -155,10 +155,10 @@ class MultiplicativePenalty:
     needs_increment = False
 
     def __post_init__(self):
-        if not self.rho > 1.0:
-            raise ValueError("rho must exceed 1")
-        if not self.beta_max > 0.0:
-            raise ValueError("beta_max must be positive")
+        if not 1.0 < self.rho < np.inf:
+            raise ValueError("rho must exceed 1 and be finite")
+        if not 0.0 < self.beta_max < np.inf:
+            raise ValueError("beta_max must be positive and finite")
 
     def update(self, beta, residual=None, increment=None):
         return min(self.rho * beta, self.beta_max)
@@ -179,10 +179,10 @@ class ResidualBasedPenalty:
     needs_increment = False
 
     def __post_init__(self):
-        if not self.kappa > 1.0:
-            raise ValueError("kappa must exceed 1")
-        if not (self.rho_inc > 1.0 and self.rho_dec > 1.0):
-            raise ValueError("rho_inc and rho_dec must exceed 1")
+        if not 1.0 < self.kappa < np.inf:
+            raise ValueError("kappa must exceed 1 and be finite")
+        if not (1.0 < self.rho_inc < np.inf and 1.0 < self.rho_dec < np.inf):
+            raise ValueError("rho_inc and rho_dec must exceed 1 and be finite")
 
     def update(self, beta, residual=None, increment=None):
         if residual.primal_sq > self.kappa * residual.dual_sq:
@@ -208,8 +208,8 @@ class SelfAdaptivePenalty:
     needs_increment = True
 
     def __post_init__(self):
-        if not self.rho_inc > self.rho_dec > 1.0:
-            raise ValueError("required ordering: rho_inc > rho_dec > 1")
+        if not np.inf > self.rho_inc > self.rho_dec > 1.0:
+            raise ValueError("required ordering: rho_inc > rho_dec > 1, rho_inc finite")
 
     def update(self, beta, residual=None, increment=None):
         if increment is None or increment.slope is None:

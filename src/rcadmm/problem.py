@@ -60,10 +60,10 @@ class KernelConfig:
     def __post_init__(self):
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 def build_phi(u: np.ndarray, l: int) -> np.ndarray:

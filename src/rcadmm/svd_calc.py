@@ -1,30 +1,33 @@
 """Derivatives of the rank-truncation step with respect to the penalty.
 
 The Z block truncates Omega(beta) = -H_n(theta) + Lam / beta, so
-d(Omega)/d(beta) = -Lam / beta^2. With the economy SVD Omega = U S V' and
-Theta = U' dOmega V, the solver differentiates the rank-r truncation Z in
-that basis: U' dZ V = M with
+d(Omega)/d(beta) = -Lam / beta^2. The sweep factors Omega = B V' with
+B = Omega V = U S (``hankel.ScaledSvd``); U is never formed. With r the
+kept indices, t the discarded ones and dOmegaV = dOmega V,
 
-    M_ij = Theta_ij                                           i, j <= r
-    M_ij = s_i (s_i Theta_ij + s_j Theta_ji) / (s_i^2 - s_j^2)   i <= r < j
-    M_ij = s_j (s_j Theta_ij + s_i Theta_ji) / (s_j^2 - s_i^2)   j <= r < i
-    M_ij = 0                                                  r < i, j
+    P_ij = (B_r' dOmegaV_t + (B_t' dOmegaV_r)')_ij / (s_i^2 - s_j^2),  i <= r < j,
+    dZ = dOmegaV_r V_r' + B_r P V_t' + B_t P' V_r'.
 
-and dZ = U M V' + (dOmega V_r - U Theta[:, :r]) V_r', the last term being
-the part of dOmega V_r outside the range of U. The e block follows by
+This regroups the SVD-basis formula dZ = U M V' + (dOmega V_r - U Theta_r) V_r'
+with Theta = U' dOmega V, M = Theta on the kept block, zero on the discarded
+one and s_i (s_i Theta_ij + s_j Theta_ji) / (s_i^2 - s_j^2) across the cut
+(i <= r < j, and its mirror). The mirror entry is Theta_ij plus a term in
+u_i s_i; the kept block, the complement term and those Theta_ij sum to
+dOmega V_r V_r', every other term carries u_j s_j = B_j, and
+s_i Theta_ij = B_i' dOmega v_j gives P. The e block follows by
 differentiating the closed-form e update, and dw = [vec(dZ); de] is
-stacked for the penalty rule. M divides by s_r^2 - s_j^2 (j > r) only,
-so the formula needs the gap s_r > s_{r+1} and nothing else: ties inside
-the kept or the discarded block, and zeros in the tail, leave it defined.
-Flipping the sign of a column pair (U_j, V_j) negates the j-th row and
-column of Theta and M exactly, so dZ does not depend on the SVD's signs.
+stacked for the penalty rule. P divides by s_r^2 - s_j^2 (j > r) only, so
+the formula needs the gap s_r^2 > s_{r+1}^2 and nothing else: ties inside
+either block, and zeros in the tail, leave it defined. Negating a column
+pair (B_j, V_j) negates a row or column of P exactly, so dZ does not
+depend on the factors' signs.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import SensitivityUnavailable
-from .hankel import GAP_RTOL, SvdTriple
+from .hankel import GAP_RTOL, ScaledSvd
 from .problem import RcpProblem
 
 
@@ -40,34 +43,25 @@ def w_derivative(
     theta: np.ndarray,
     lam_mat: np.ndarray,
     beta: float,
-    svd: SvdTriple,
+    svd: ScaledSvd,
     e_new: np.ndarray,
 ) -> np.ndarray:
     """Stacked dw/dbeta = [vec(dZ); de] of one w update.
 
     ``theta`` and ``lam_mat`` are the pre-step values the update consumed,
     ``svd``/``e_new`` its outputs. Raises SensitivityUnavailable when
-    s_r - s_{r+1} is not above ``GAP_RTOL`` s_1: the truncation is not
-    differentiable there and the penalty rule holds beta.
+    s_r^2 - s_{r+1}^2 is not above ``GAP_RTOL`` s_1^2: the truncation is
+    not differentiable there and the penalty rule holds beta.
     """
     r = problem.r
-    u, s, v = svd.U, svd.s, svd.V
-    if not s[r - 1] - s[r] > GAP_RTOL * s[0]:
+    b, s, v = svd.B, svd.s, svd.V
+    s2 = s * s
+    if not s2[r - 1] - s2[r] > GAP_RTOL * s2[0]:
         raise SensitivityUnavailable(
             f"no gap between singular values {r} and {r + 1}: {s[r - 1]:.3e}, {s[r]:.3e}"
         )
-    d_omega = -lam_mat / beta**2
-    dov = d_omega @ v
-    t = u.T @ dov
-    # M's kept/discarded blocks are the curvature of the rank-r set; its
-    # kept block and the complement term are the tangent part.
-    sk, sd = s[:r, None], s[None, r:]
-    upper, lower = t[:r, r:], t[r:, :r].T
-    gap = sk * sk - sd * sd
-    m = np.zeros_like(t)
-    m[:r, :r] = t[:r, :r]
-    m[:r, r:] = sk * (sk * upper + sd * lower) / gap
-    m[r:, :r] = (sk * (sk * lower + sd * upper) / gap).T
-    dz = u @ m @ v.T + (dov[:, :r] - u @ t[:, :r]) @ v[:, :r].T
+    dov = (-lam_mat / beta**2) @ v
+    p = (b[:, :r].T @ dov[:, r:] + dov[:, :r].T @ b[:, r:]) / (s2[:r, None] - s2[None, r:])
+    dz = (dov[:, :r] + b[:, r:] @ p.T) @ v[:, :r].T + (b[:, :r] @ p) @ v[:, r:].T
     de = e_derivative(problem, theta, e_new, beta)
     return problem.stack_w(dz, de)

@@ -6,6 +6,9 @@ import pytest
 
 from rcadmm import driver
 from rcadmm.admm import AdmmIterate, initial_state
+from rcadmm.penalty import MultiplicativePenalty, SelfAdaptivePenalty
+from rcadmm.problem import assemble_problem
+from rcadmm.simulate import default_scenario, simulate_relay
 
 
 @pytest.fixture
@@ -106,6 +109,33 @@ def loop_spy(monkeypatch):
     monkeypatch.setattr(driver, "anderson_coefficients", weights)
     monkeypatch.setattr(driver.AndersonWindow, "combine", extrapolate)
     return sweeps
+
+
+@pytest.fixture(scope="session")
+def solver_sweeps():
+    """The w-sweep inputs ``(problem, theta, lam_mat, beta)`` along solves.
+
+    Every 4th sweep of 100-iteration accelerated self-adaptive and
+    multiplicative solves at (l, n, r) = (60, 20, 8) and (120, 40, 8), on
+    relay records of scenario seed 1 (200 s for the larger lift, as in
+    the benchmark's large-lift workload).
+    """
+    inputs = []
+    for l, n, duration in [(60, 20, 50.0), (120, 40, 200.0)]:
+        data = simulate_relay(replace(default_scenario(1), duration=duration)).data
+        problem = assemble_problem(data, l, n, 8)
+        for strategy in (SelfAdaptivePenalty(), MultiplicativePenalty()):
+            sweeps = []
+
+            def sweep(problem, theta, mu, beta, admm_step=driver.admm_step):
+                sweeps.append((problem, theta, problem.split_mu(mu)[0], beta))
+                return admm_step(problem, theta, mu, beta)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(driver, "admm_step", sweep)
+                driver.solve(problem, driver.DriverConfig(strategy=strategy, k_max=100))
+            inputs += sweeps[::4]
+    return inputs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

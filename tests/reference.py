@@ -11,10 +11,15 @@
   with Theta = U' dOmega V, then the product rule through the kept
   rank-r triplets.  The factors need a simple, nonzero spectrum
   (`spectrum_degenerate`); `svd_calc.w_derivative` gets dZ from one
-  formula in the SVD basis instead, which needs only the gap at r.
+  formula in B = Omega V and V instead, which needs only the gap at r.
+- `economy_svd`: LAPACK's economy SVD, which the factor route needs (the
+  solver's Gram route never forms U).  Its `B = U diag(s)` lets
+  `svd_calc.w_derivative` read it too.
 - A literal transcription of the plain (non-accelerated) driver loop.
 - The affine contraction G(x) = x/2 + c that Anderson steps solve at once.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +28,26 @@ from rcadmm.driver import AndersonWindow, anderson_coefficients
 from rcadmm.errors import SensitivityUnavailable
 from rcadmm.hankel import GAP_RTOL
 from rcadmm.penalty import increment_diagnostics, update_penalty
+
+
+@dataclass
+class SvdTriple:
+    """Economy SVD ``A = U @ diag(s) @ V.T`` with ``s`` descending."""
+
+    U: np.ndarray
+    s: np.ndarray
+    V: np.ndarray
+
+    @property
+    def B(self):
+        return self.U * self.s
+
+
+def economy_svd(a):
+    """Economy SVD of ``a`` as LAPACK returns it, ``V`` C-ordered as the
+    solver's factors are."""
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+    return SvdTriple(U=u, s=s, V=np.ascontiguousarray(vt.T))
 
 
 def spectrum_degenerate(s):

@@ -15,6 +15,7 @@ import pytest
 
 from reference import (
     aligned_factors,
+    economy_svd,
     reference_plain_loop,
     run_contraction,
     spectrum_degenerate,
@@ -24,7 +25,7 @@ from reference import (
 from rcadmm.admm import admm_step, initial_state, residuals, update_w
 from rcadmm.cli import main
 from rcadmm.driver import DriverConfig, solve
-from rcadmm.hankel import economy_svd, truncated_svd_projection
+from rcadmm.hankel import truncated_svd_projection
 from rcadmm.penalty import (
     ConstantPenalty,
     MultiplicativePenalty,

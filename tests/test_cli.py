@@ -126,6 +126,21 @@ class TestSolveCommand:
         assert err.startswith(f"error: invalid solver settings: {key} must be positive and finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "strategy, key",
+        [("self-adaptive", "rho_inc"), ("multiplicative", "rho"), ("residual", "kappa")],
+    )
+    def test_infinite_penalty_factor_exits_1(self, tmp_path, capsys, strategy, key):
+        # An infinite factor sent beta to its clamp at the first change
+        # and the run ended by its budget, with no error.
+        cfg = solve_config(tmp_path, strategy=strategy, **{key: float("inf")})
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid solver settings: ")
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         cfg = solve_config(tmp_path)
         rc = main(["solve", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")])

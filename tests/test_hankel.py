@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from reference import economy_svd
 from rcadmm.errors import IllConditionedError
 from rcadmm.problem import build_phi
-from rcadmm.hankel import (
-    HankelDims,
-    StackedOperator,
-    economy_svd,
-    truncated_svd_projection,
-)
+from rcadmm.hankel import HankelDims, StackedOperator, truncated_svd_projection
 
 
 def hankel_matrix(x, dims):
@@ -172,13 +168,26 @@ class TestTruncatedSvd:
     def test_factors_orthonormal_and_reconstruct(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(8, 5))
-        svd = economy_svd(a)
-        np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(5), atol=1e-12)
+        _, svd = truncated_svd_projection(a, 2)
         np.testing.assert_allclose(svd.V.T @ svd.V, np.eye(5), atol=1e-12)
-        np.testing.assert_allclose((svd.U * svd.s) @ svd.V.T, a, atol=1e-12)
+        np.testing.assert_allclose(svd.B @ svd.V.T, a, atol=1e-12)
+        # B = A V = U diag(s): orthogonal columns with norms s.
+        np.testing.assert_allclose(svd.B.T @ svd.B, np.diag(svd.s**2), atol=1e-12)
         # C-ordered, as the sweep's figures were produced with: how BLAS
         # rounds the products with V depends on its layout.
         assert svd.V.flags.c_contiguous
+
+    def test_matches_lapack_along_solver_iterates(self, solver_sweeps):
+        # The Gram route squares the spectrum, but Z needs only the span
+        # of V_r: it must match LAPACK's truncation on the sweeps a solve
+        # makes.
+        for problem, theta, lam_mat, beta in solver_sweeps:
+            omega = -problem.hankel(theta) + lam_mat / beta
+            z, _ = truncated_svd_projection(omega, problem.r)
+            ref = economy_svd(omega)
+            r = problem.r
+            z_ref = (ref.U[:, :r] * ref.s[:r]) @ ref.V[:, :r].T
+            assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):

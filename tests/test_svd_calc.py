@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 
 from reference import (
     aligned_factors,
+    economy_svd,
     gain_matrix,
     spectrum_degenerate,
     svd_factor_derivatives,
     z_derivative,
 )
-from rcadmm import hankel
 from rcadmm.admm import update_w
 from rcadmm.driver import DriverConfig, solve
 from rcadmm.errors import SensitivityUnavailable
-from rcadmm.hankel import SvdTriple, economy_svd
+from rcadmm.hankel import GAP_RTOL, truncated_svd_projection
 from rcadmm.penalty import SelfAdaptivePenalty
 from rcadmm.problem import RegressionData, assemble_problem
 from rcadmm.svd_calc import e_derivative, w_derivative
@@ -145,7 +145,7 @@ class TestBlockDerivatives:
 
     def test_z_finite_difference(self):
         prob, theta, lam_mat, lam_vec, beta, _ = make_instance(10)
-        z, _, svd = update_w(prob, theta, lam_mat, lam_vec, beta)
+        svd = economy_svd(omega_of(prob, theta, lam_mat, beta))
         du, ds, dv = svd_factor_derivatives(svd, -lam_mat / beta**2)
         dz = z_derivative(svd, du, ds, dv, prob.r)
         delta = 1e-5 * beta
@@ -220,8 +220,36 @@ class TestBlockDerivatives:
         v = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         # Lam chosen so that Omega(beta) = -H(theta) + Lam / beta has the spectrum.
         lam_mat = beta * ((u * spectrum) @ v.T + prob.hankel(theta))
+        # The Gram route resolves a zero tail only to about sqrt(eps) s_1.
+        s = np.linalg.svd(omega_of(prob, theta, lam_mat, beta), compute_uv=False)
+        np.testing.assert_allclose(s, spectrum, atol=1e-14)
         _, e_new, svd = update_w(prob, theta, lam_mat, lam_vec, beta)
-        np.testing.assert_allclose(svd.s, spectrum, atol=1e-14)
+        dw = w_derivative(prob, theta, lam_mat, beta, svd, e_new)
+        delta = 1e-5 * beta
+        z_hi, e_hi, _ = update_w(prob, theta, lam_mat, lam_vec, beta + delta)
+        z_lo, e_lo, _ = update_w(prob, theta, lam_mat, lam_vec, beta - delta)
+        fd = (prob.stack_w(z_hi, e_hi) - prob.stack_w(z_lo, e_lo)) / (2 * delta)
+        assert np.linalg.norm(dw - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_gap_rule_on_squares(self, side):
+        # s_2^2 - s_3^2 planted 1% below or above GAP_RTOL s_1^2, where
+        # s_2 - s_3 is 1.5 GAP_RTOL s_1.  Omega is diagonal and scales as
+        # 1 / beta, so the Gram route is exact and the truncation stays
+        # smooth right up to the threshold.
+        rng = np.random.default_rng(17)
+        prob = assemble_problem(
+            RegressionData(rng.normal(size=20), rng.normal(size=20)), 9, 4, 2
+        )
+        theta, lam_vec, beta = np.zeros(9), rng.normal(size=20), 1.3
+        s3 = np.sqrt(1.0 - (1.0 + 0.01 * side) * GAP_RTOL * 9.0)
+        lam_mat = np.zeros((6, 4))
+        np.fill_diagonal(lam_mat, beta * np.array([3.0, 1.0, s3, 0.5]))
+        _, e_new, svd = update_w(prob, theta, lam_mat, lam_vec, beta)
+        if side < 0:
+            with pytest.raises(SensitivityUnavailable):
+                w_derivative(prob, theta, lam_mat, beta, svd, e_new)
+            return
         dw = w_derivative(prob, theta, lam_mat, beta, svd, e_new)
         delta = 1e-5 * beta
         z_hi, e_hi, _ = update_w(prob, theta, lam_mat, lam_vec, beta + delta)
@@ -266,11 +294,27 @@ class TestBasisRoute:
             prob, theta, lam_mat, lam_vec, beta, _ = make_instance(
                 200 + seed, l=l, n=n, r=r, n_samples=40
             )
-            _, e_new, svd = update_w(prob, theta, lam_mat, lam_vec, beta)
+            _, e_new, _ = update_w(prob, theta, lam_mat, lam_vec, beta)
+            # The P form on LAPACK's factors, B = U diag(s).
+            svd = economy_svd(omega_of(prob, theta, lam_mat, beta))
             assert_close_relative(
                 w_derivative(prob, theta, lam_mat, beta, svd, e_new),
                 factor_route_w_derivative(prob, theta, lam_mat, beta, svd, e_new),
                 1e-13,
+            )
+
+    def test_gram_factors_match_factor_route_along_solver_iterates(self, solver_sweeps):
+        # The sweep's own Gram factors against the factor route on LAPACK's.
+        for prob, theta, lam_mat, beta in solver_sweeps:
+            e_new = np.zeros(prob.n_samples)
+            omega = omega_of(prob, theta, lam_mat, beta)
+            _, svd = truncated_svd_projection(omega, prob.r)
+            assert_close_relative(
+                w_derivative(prob, theta, lam_mat, beta, svd, e_new),
+                factor_route_w_derivative(
+                    prob, theta, lam_mat, beta, economy_svd(omega), e_new
+                ),
+                1e-8,
             )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -305,7 +349,7 @@ class TestBasisRoute:
 
 @st.composite
 def sign_flips(draw):
-    """A random sweep instance and a nonempty set of SVD columns to negate."""
+    """A random sweep instance and a nonempty set of factor columns to negate."""
     n = draw(st.integers(2, 12))
     rows = n + draw(st.integers(0, 10))
     r = draw(st.integers(1, n - 1))
@@ -318,16 +362,23 @@ class TestSignInvariance:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(sign_flips())
     def test_column_sign_flips_change_no_bit(self, case):
-        # LAPACK's column signs are arbitrary; the truncation Z and the
+        # eigh's column signs are arbitrary; the truncation Z and the
         # slope dw must not depend on them, bit for bit.
         (prob, theta, lam_mat, lam_vec), beta, sign = case
         z, e_new, svd = update_w(prob, theta, lam_mat, lam_vec, beta)
         dw = w_derivative(prob, theta, lam_mat, beta, svd, e_new)
-        flipped = SvdTriple(U=svd.U * sign, s=svd.s, V=np.multiply(svd.V, sign, order="C"))
+        eigh = np.linalg.eigh
+
+        def flipped_eigh(gram):
+            lam, v = eigh(gram)
+            # eigh lists ascending, the factors descending.
+            return lam, v * sign[::-1]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hankel, "economy_svd", lambda a: flipped)
-            z_flipped, _, svd_flipped = update_w(prob, theta, lam_mat, lam_vec, beta)
-        assert svd_flipped is flipped
+            mp.setattr(np.linalg, "eigh", flipped_eigh)
+            z_flipped, _, flipped = update_w(prob, theta, lam_mat, lam_vec, beta)
+        np.testing.assert_array_equal(flipped.V, svd.V * sign)
+        np.testing.assert_array_equal(flipped.B, svd.B * sign)
         assert z_flipped.tobytes() == z.tobytes()
         dw_flipped = w_derivative(prob, theta, lam_mat, beta, flipped, e_new)
         assert dw_flipped.tobytes() == dw.tobytes()

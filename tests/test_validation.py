@@ -1,6 +1,6 @@
 """Range checks of the configuration types reject NaN, and infinity
-where a value sets a sample count, a noise level, the starting penalty or
-the stopping tolerance.
+where a value sets a sample count, a noise level, the starting penalty,
+the stopping tolerance, a penalty factor or the kernel prior.
 
 Each check is written ``not x > bound`` (or ``>=``), which NaN fails,
 rather than ``x <= bound``, which NaN passes; Python's ``json`` reads a
@@ -10,7 +10,9 @@ rounding to whole steps, and an infinite noise variance would write an
 infinite output; an infinite beta0 makes the first sweep all NaN, and
 an infinite eps_tol stops every run after one iteration.  An infinite
 relay amplitude overflows the plant output, and an infinite hysteresis
-never lets the relay switch.
+never lets the relay switch.  An infinite penalty factor sends beta to
+its clamp at the first change, and an infinite kernel gamma or scale
+zeroes or drops the prior.
 """
 
 from dataclasses import replace
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from rcadmm.driver import DriverConfig
-from rcadmm.penalty import MultiplicativePenalty, ResidualBasedPenalty
+from rcadmm.penalty import MultiplicativePenalty, ResidualBasedPenalty, SelfAdaptivePenalty
 from rcadmm.problem import KernelConfig, RegressionData
 from rcadmm.simulate import RelayConfig, default_scenario
 
@@ -35,6 +37,8 @@ CASES = [
     (ResidualBasedPenalty(), "kappa", NAN),
     (ResidualBasedPenalty(), "rho_inc", NAN),
     (ResidualBasedPenalty(), "rho_dec", NAN),
+    (SelfAdaptivePenalty(), "rho_inc", NAN),
+    (SelfAdaptivePenalty(), "rho_dec", NAN),
     (KernelConfig(), "gamma", NAN),
     (KernelConfig(), "scale", NAN),
     (RelayConfig(), "amplitude", NAN),
@@ -51,6 +55,14 @@ CASES = [
     (DriverConfig(), "eps_tol", INF),
     (RelayConfig(), "amplitude", INF),
     (RelayConfig(), "hysteresis", INF),
+    (MultiplicativePenalty(), "rho", INF),
+    (MultiplicativePenalty(), "beta_max", INF),
+    (ResidualBasedPenalty(), "kappa", INF),
+    (ResidualBasedPenalty(), "rho_inc", INF),
+    (ResidualBasedPenalty(), "rho_dec", INF),
+    (SelfAdaptivePenalty(), "rho_inc", INF),
+    (KernelConfig(), "gamma", INF),
+    (KernelConfig(), "scale", INF),
 ]
 
 

@@ -34,10 +34,9 @@ class AdmmIterate:
     primal: np.ndarray
     beta: float
     svd: ScaledSvd
-    e: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidualReport:
     """Squared residual norms of one sweep, under the beta that produced it.
 
@@ -135,7 +134,6 @@ def admm_step(
         primal=primal,
         beta=beta,
         svd=svd,
-        e=e_new,
     )
 
 
@@ -150,12 +148,13 @@ def residuals(
     primal_sq = float(it.primal @ it.primal)
     eps_d = it.beta * problem.qfac.apply(it.theta - theta_prev)
     dual_sq = float(eps_d @ eps_d)
+    _, e = problem.split_w(it.w)
     return ResidualReport(
         primal_sq=primal_sq,
         dual_sq=dual_sq,
         combined=it.beta * primal_sq + dual_sq / it.beta,
         beta=it.beta,
-        objective=float(it.e @ it.e),
+        objective=float(e @ e),
     )
 
 

@@ -1,14 +1,15 @@
 """Outer solve loop: accelerated fixed-point iteration with fallback.
 
 The sweep depends only on (theta, mu), so the solver iterates the map
-``xi -> G(xi)`` on the stacked vector xi = [theta; mu].  Anderson
+``xi -> G(xi)`` on the stacked vector xi = [theta; mu]; the loop's point
+x = [xi; w] also carries the w the self-adaptive rule reads.  Anderson
 extrapolation accelerates that map using a short window of past steps;
 a combined-residual test guards each accelerated iterate and backtracks
 to the recorded step when extrapolation makes things worse.  The
 recorded step is the start, then the last accepted sweep; it holds the
 (theta, mu, w) a rejection restarts from and the theta a run returns.
 
-The carried w block is extrapolated with the same coefficients as xi.
+The w block is extrapolated with the coefficients fitted to xi alone.
 The combination is affine (coefficients sum to one), which preserves the
 two sweep invariants that make the penalty diagnostics exact, so the
 self-adaptive rule remains usable at accelerated iterates.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import admm_step, initial_state, residuals
+from .admm import ResidualReport, admm_step, initial_state, residuals
 from .penalty import ConstantPenalty, increment_diagnostics, update_penalty
 
 # Columns closer than this (relative) to singular get Tikhonov damping.
@@ -59,13 +60,10 @@ class DriverConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(ResidualReport):
+    """One trace row: a sweep's residual figures and the loop's verdict on it."""
+
     iteration: int
-    beta: float
-    primal_sq: float
-    dual_sq: float
-    combined: float
-    objective: float
     accepted: bool
     dldbeta: float
 
@@ -86,16 +84,16 @@ class SolveResult:
 class AndersonWindow:
     """Ring buffer of the most recent plain-step outputs.
 
-    Each entry holds the step output g = G(xi), the fixed-point residual
-    eta = g - xi, and the w block produced alongside g.  Capacity is
-    m_max + 1 entries, enough for m_max difference columns.
+    Each entry holds the step output g = [G(xi); w+] and the fixed-point
+    residual eta = G(xi) - xi of its xi block.  Capacity is m_max + 1
+    entries, enough for m_max difference columns.
     """
 
     def __init__(self, m_max):
         self._entries = deque(maxlen=m_max + 1)
 
-    def push(self, g, eta, w):
-        self._entries.append((g, eta, w))
+    def push(self, g, eta):
+        self._entries.append((g, eta))
 
     def clear(self):
         self._entries.clear()
@@ -116,14 +114,12 @@ class AndersonWindow:
         )
 
     def combine(self, alpha):
-        """Affine extrapolation of the g sequence and its w companions."""
-        g, _, w = self._entries[-1]
-        xi, w = g.copy(), w.copy()
+        """Affine extrapolation of the g sequence."""
+        e = self._entries
+        x = e[-1][0].copy()
         for j, a in enumerate(alpha, start=1):
-            (g1, _, w1), (g0, _, w0) = self._entries[-j], self._entries[-j - 1]
-            xi -= a * (g1 - g0)
-            w -= a * (w1 - w0)
-        return xi, w
+            x -= a * (e[-j][0] - e[-j - 1][0])
+        return x
 
 
 def anderson_coefficients(diffs, eta):
@@ -181,8 +177,9 @@ def solve(problem, config=None, init=None):
     # The recorded step: the start, then the last accepted sweep.
     rec = init if init is not None else initial_state(problem)
     strategy = config.strategy
-    theta, mu, w = rec.theta, rec.mu, rec.w
-    xi = np.concatenate([theta, mu])
+    l = problem.l
+    d = l + problem.w_size  # x = [theta; mu; w] splits at l and d
+    x = np.concatenate([rec.theta, rec.mu, rec.w])
     beta = config.beta0
     eps_prev = np.inf
     k = 0
@@ -192,13 +189,14 @@ def solve(problem, config=None, init=None):
 
     try:
         while True:
+            theta, mu, w = x[:l], x[l:d], x[d:]
             step = admm_step(problem, theta, mu, beta)
             report = residuals(problem, theta, step)
             if config.acceleration and not report.combined < eps_prev:
                 records.append(_record(k + 1, report, False, float("nan")))
                 if window.depth >= 1:  # the step was extrapolated
-                    xi, w = np.concatenate([rec.theta, rec.mu]), rec.w
-                    theta, mu = xi[: problem.l], xi[problem.l :]
+                    x = np.concatenate([rec.theta, rec.mu, rec.w])
+                    theta, mu, w = x[:l], x[l:d], x[d:]
                     step = admm_step(problem, theta, mu, beta)
                     report = residuals(problem, theta, step)
                 window.clear()
@@ -208,9 +206,9 @@ def solve(problem, config=None, init=None):
                 termination = "numeric-failure"
                 break
 
-            g = np.concatenate([step.theta, step.mu])
+            g = np.concatenate([step.theta, step.mu, step.w])
             if config.acceleration:
-                window.push(g, g - xi, step.w)
+                window.push(g, g[:d] - x[:d])
             rec = step
             eps_prev = eps
 
@@ -218,17 +216,16 @@ def solve(problem, config=None, init=None):
             if strategy.needs_increment:
                 diag = increment_diagnostics(problem, w, theta, mu, step)
 
-            xi, w = g, step.w
+            x = g
             if window.depth >= 1:
                 alpha = anderson_coefficients(
                     window.difference_matrix(), window.latest_eta
                 )
-                xi, w = window.combine(alpha)
+                x = window.combine(alpha)
 
             beta = update_penalty(strategy, beta, report, diag)
             k += 1
             records.append(_record(k, report, True, _slope_value(diag)))
-            theta, mu = xi[: problem.l], xi[problem.l :]
 
             if k > config.k_max:
                 break

@@ -124,9 +124,10 @@ def increment_diagnostics(problem, w_prev, theta_prev, mu_prev, iterate):
         problem, w_prev, theta_prev, mu_prev, iterate.w, iterate.beta, parts
     )
     lam_mat, _ = problem.split_mu(mu_prev)
+    _, e_new = problem.split_w(iterate.w)
     try:
         dw = w_derivative(
-            problem, theta_prev, lam_mat, iterate.beta, iterate.svd, iterate.e
+            problem, theta_prev, lam_mat, iterate.beta, iterate.svd, e_new
         )
     except SensitivityUnavailable:
         return IncrementDiagnostics(value, None)

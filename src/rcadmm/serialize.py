@@ -14,7 +14,7 @@ type's defaults, and a bad value raises ConfigError naming it.
 
 import csv
 import json
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -56,10 +56,13 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
+def _cell(value):
+    return ("true" if value else "false") if isinstance(value, bool) else _fmt(value)
+
+
 def _trace_row(run_id, rec):
-    # IterationRecord's fields are the columns after run_id, in order.
-    iteration, *figures, accepted, dldbeta = astuple(rec)
-    return [run_id, iteration, *map(_fmt, figures), "true" if accepted else "false", _fmt(dldbeta)]
+    # Each column after run_id and iter is the IterationRecord field it names.
+    return [run_id, rec.iteration, *(_cell(getattr(rec, name)) for name in TRACE_HEADER[2:])]
 
 
 def write_trace_csv(path, records, run_id=0):
@@ -129,10 +132,10 @@ def _require(section, key, path):
     return _value(section, key, path)
 
 
-def _section(cfg, key):
+def _section(cfg, key, path=""):
     value = cfg.get(key, {})
     if not isinstance(value, dict):
-        raise ConfigError(f"section {key} must be an object")
+        raise ConfigError(f"section {_label(path, key)} must be an object")
     return value
 
 
@@ -172,8 +175,8 @@ def driver_config_from(solver, path="solver"):
 def scenario_from_config(cfg, seed=None):
     section = _section(cfg, "scenario")
     base = default_scenario()
-    plant = _build(base.plant, _section(section, "plant"), "scenario.plant")
-    relay = _build(base.relay, _section(section, "relay"), "scenario.relay")
+    plant = _build(base.plant, _section(section, "plant", "scenario"), "scenario.plant")
+    relay = _build(base.relay, _section(section, "relay", "scenario"), "scenario.relay")
     fixed = {"plant": plant, "relay": relay}
     if seed is not None:
         fixed["seed"] = seed
@@ -205,7 +208,7 @@ def cells_from_config(cfg, path="cells"):
         name = _require(entry, "name", f"{path}[{idx}]")
         if not isinstance(name, str):
             raise ConfigError(f"{path}[{idx}].name must be a string: got {name!r}")
-        solver = _section(entry, "solver")
+        solver = _section(entry, "solver", f"{path}[{idx}]")
         cells.append(
             ExperimentCell(
                 name=name,

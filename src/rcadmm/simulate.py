@@ -252,7 +252,8 @@ class RunSummary:
 @dataclass
 class CellAverages:
     """Accepted-row running means indexed by iteration number; row i of
-    ``sums`` holds the ``REPORT_FIELDS[i]`` figure."""
+    ``sums`` holds the ``REPORT_FIELDS[i]`` figure, and the attribute of
+    that name is its mean per iteration."""
 
     name: str
     sums: np.ndarray = field(repr=False)
@@ -260,33 +261,12 @@ class CellAverages:
     runs: int = 0
     failures: int = 0
 
-    @property
-    def iterations(self):
-        return np.arange(1, self.sums.shape[1] + 1)
-
-    def _mean(self, name):
+    def __getattr__(self, name):
+        # Reached only for names that are not set on the instance.
+        if name not in REPORT_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         with np.errstate(invalid="ignore"):
             return self.sums[REPORT_FIELDS.index(name)] / self.counts
-
-    @property
-    def primal_sq(self):
-        return self._mean("primal_sq")
-
-    @property
-    def dual_sq(self):
-        return self._mean("dual_sq")
-
-    @property
-    def combined(self):
-        return self._mean("combined")
-
-    @property
-    def beta(self):
-        return self._mean("beta")
-
-    @property
-    def objective(self):
-        return self._mean("objective")
 
 
 @dataclass
@@ -358,6 +338,8 @@ def monte_carlo(
         raise ValueError("runs must be at least 1")
     if not base_seed >= 0:
         raise ValueError("base_seed must be nonnegative")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     names = [cell.name for cell in cells]
     if len(set(names)) != len(names):
         raise ValueError("cell names must be unique")

@@ -38,8 +38,8 @@ class Sweep:
 
     ``theta``, ``mu`` and ``beta`` are the sweep's input and ``step`` its
     output.  ``alpha`` holds the Anderson weights formed after an accepted
-    sweep and ``extrapolated`` the ``(xi, w)`` point combined from them;
-    both stay None when the loop took no Anderson step.
+    sweep and ``extrapolated`` the point combined from them, split into
+    ``(xi, w)``; both stay None when the loop took no Anderson step.
     """
 
     theta: np.ndarray
@@ -102,8 +102,10 @@ def loop_spy(monkeypatch):
         return sweeps[-1].alpha
 
     def extrapolate(window, alpha):
-        sweeps[-1].extrapolated = combine(window, alpha)
-        return sweeps[-1].extrapolated
+        x = combine(window, alpha)
+        d = sweeps[-1].theta.size + sweeps[-1].mu.size
+        sweeps[-1].extrapolated = (x[:d], x[d:])
+        return x
 
     monkeypatch.setattr(driver, "admm_step", sweep)
     monkeypatch.setattr(driver, "anderson_coefficients", weights)

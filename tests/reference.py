@@ -159,10 +159,10 @@ def run_contraction(accelerated, tol=1e-10, limit=60):
             return evaluation, xi
         xi = g
         if accelerated:
-            window.push(g, eta, np.zeros(0))
+            window.push(g, eta)
             if window.depth >= 1:
                 alpha = anderson_coefficients(
                     window.difference_matrix(), window.latest_eta
                 )
-                xi, _ = window.combine(alpha)
+                xi = window.combine(alpha)
     return limit + 1, xi

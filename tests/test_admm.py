@@ -257,7 +257,9 @@ class TestResidualsAndLagrangian:
         assert rep.combined == pytest.approx(
             beta * rep.primal_sq + rep.dual_sq / beta, rel=1e-12
         )
-        assert rep.objective == pytest.approx(it.e @ it.e, rel=1e-12)
+        _, lam = prob.split_mu(mu)
+        e = (beta * (prob.data.y - prob.phi @ theta) + lam) / (beta + 2.0)
+        assert rep.objective == pytest.approx(e @ e, rel=1e-12)
 
     def test_lagrangian_at_feasible_point_is_objective(self):
         prob, theta_true = feasible_problem()

@@ -316,6 +316,13 @@ class TestBenchCommand:
         assert "base_seed must be nonnegative" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        rc = main(["bench", "--spec", bench_spec(tmp_path), "--jobs", jobs, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ValueError: jobs must be at least 1")
+
     @pytest.mark.parametrize("name", [["a"], None])
     def test_cell_name_must_be_string(self, tmp_path, capsys, name):
         spec = json.loads(open(bench_spec(tmp_path)).read())

@@ -118,39 +118,40 @@ class TestAndersonWindow:
         window = AndersonWindow(2)
         for i in range(7):
             v = np.array([float(i)])
-            window.push(v, v, v)
+            window.push(v, v)
         assert window.depth == 2
 
     def test_difference_matrix_literal(self):
         window = AndersonWindow(3)
-        window.push(np.zeros(2), np.array([1.0, 2.0]), np.zeros(1))
-        window.push(np.zeros(2), np.array([4.0, 6.0]), np.zeros(1))
+        window.push(np.zeros(3), np.array([1.0, 2.0]))
+        window.push(np.zeros(3), np.array([4.0, 6.0]))
         np.testing.assert_array_equal(
             window.difference_matrix(), np.array([[3.0], [4.0]])
         )
 
     def test_combine_alpha_two_literal(self):
-        # xi_AA = G(k) - 2 [G(k) - G(k-1)] = 2 G(k-1) - G(k)
+        # x_AA = G(k) - 2 [G(k) - G(k-1)] = 2 G(k-1) - G(k), w tail included.
         window = AndersonWindow(3)
-        g0 = np.array([1.0, 1.0])
-        g1 = np.array([3.0, -1.0])
-        window.push(g0, g0, np.array([5.0]))
-        window.push(g1, g1, np.array([9.0]))
-        xi, w = window.combine(np.array([2.0]))
-        np.testing.assert_array_equal(xi, 2 * g0 - g1)
-        np.testing.assert_array_equal(w, np.array([1.0]))
+        g0 = np.array([1.0, 1.0, 5.0])
+        g1 = np.array([3.0, -1.0, 9.0])
+        window.push(g0, g0[:2])
+        window.push(g1, g1[:2])
+        x = window.combine(np.array([2.0]))
+        np.testing.assert_array_equal(x, 2 * g0 - g1)
+        np.testing.assert_array_equal(x[2:], np.array([1.0]))
 
     def test_combine_zero_alpha_is_plain(self):
         window = AndersonWindow(3)
-        g1 = np.array([3.0, -1.0])
-        window.push(np.ones(2), np.ones(2), np.zeros(1))
-        window.push(g1, g1, np.zeros(1))
-        xi, _ = window.combine(np.array([0.0]))
-        np.testing.assert_array_equal(xi, g1)
+        g1 = np.array([3.0, -1.0, 0.0])
+        window.push(np.ones(3), np.ones(2))
+        window.push(g1, g1[:2])
+        x = window.combine(np.array([0.0]))
+        np.testing.assert_array_equal(x, g1)
+        assert x is not g1
 
     def test_clear(self):
         window = AndersonWindow(2)
-        window.push(np.ones(1), np.ones(1), np.ones(1))
+        window.push(np.ones(1), np.ones(1))
         window.clear()
         assert window.depth == 0
 

@@ -294,7 +294,8 @@ class TestIncrement:
             assert value == diag.delta_l
             if diag.slope is not None:
                 lam_mat, _ = problem.split_mu(mu)
-                dw = w_derivative(problem, theta, lam_mat, it.beta, it.svd, it.e)
+                _, e_new = problem.split_w(it.w)
+                dw = w_derivative(problem, theta, lam_mat, it.beta, it.svd, e_new)
                 slope = increment_slope(problem, w, theta, mu, it.w, dw, it.beta)
                 assert slope == diag.slope
                 sloped += 1

@@ -3,13 +3,14 @@
 import csv
 import json
 import struct
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rcadmm.admm import REPORT_FIELDS
 from rcadmm.driver import DriverConfig, IterationRecord
 from rcadmm.errors import ConfigError
 from rcadmm.penalty import (
@@ -27,6 +28,7 @@ from rcadmm.serialize import (
     driver_config_from,
     problem_dims_from_config,
     scenario_from_config,
+    solver_from_config,
     strategy_from_config,
     write_averages_csv,
     write_data_csv,
@@ -45,10 +47,20 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def sample_records():
+    nan = float("nan")
     return [
-        IterationRecord(1, 1.0, 0.25, 0.125, 0.375, 2.0, True, -0.0078125),
-        IterationRecord(2, 1.05, 0.2, 0.1, 0.31, 1.9, False, float("nan")),
-        IterationRecord(2, 1.05, 1e-17, 3e-19, 1.0300000000000001e-17, 1.9, True, float("nan")),
+        IterationRecord(
+            iteration=1, beta=1.0, primal_sq=0.25, dual_sq=0.125, combined=0.375,
+            objective=2.0, accepted=True, dldbeta=-0.0078125,
+        ),
+        IterationRecord(
+            iteration=2, beta=1.05, primal_sq=0.2, dual_sq=0.1, combined=0.31,
+            objective=1.9, accepted=False, dldbeta=nan,
+        ),
+        IterationRecord(
+            iteration=2, beta=1.05, primal_sq=1e-17, dual_sq=3e-19,
+            combined=1.0300000000000001e-17, objective=1.9, accepted=True, dldbeta=nan,
+        ),
     ]
 
 
@@ -76,9 +88,15 @@ class TestTraceCsv:
         assert first == "run_id,iter,beta,primal_sq,dual_sq,combined,objective,accepted,dldbeta"
         assert ",".join(TRACE_HEADER) == first
 
+    def test_record_extends_report(self):
+        names = tuple(f.name for f in fields(IterationRecord))
+        assert names == REPORT_FIELDS + ("iteration", "accepted", "dldbeta")
+
     def test_record_fields_follow_header(self):
-        # Trace rows are written in field order.
-        assert [f.name for f in fields(IterationRecord)] == ["iteration", *TRACE_HEADER[2:]]
+        # Each column after run_id and iter is written from the field it names.
+        names = {f.name for f in fields(IterationRecord)}
+        assert TRACE_HEADER[:2] == ["run_id", "iter"]
+        assert all(column in names for column in TRACE_HEADER[2:])
 
 
 SAMPLE_SIM = SimpleNamespace(
@@ -129,7 +147,11 @@ AVERAGES = sample_averages()
         (
             lambda path: write_trace_csv(path, RECORDS, run_id=7),
             TRACE_HEADER,
-            [(7, *astuple(rec)) for rec in RECORDS],
+            [
+                (7, rec.iteration, rec.beta, rec.primal_sq, rec.dual_sq,
+                 rec.combined, rec.objective, rec.accepted, rec.dldbeta)
+                for rec in RECORDS
+            ],
         ),
         (
             lambda path: write_data_csv(path, SIM),
@@ -313,6 +335,23 @@ class TestProblemAndCells:
         assert [c.name for c in cells] == ["a", "b"]
         assert cells[0].config.beta0 == 10.0
         assert isinstance(cells[1].config.strategy, SelfAdaptivePenalty)
+
+
+BAD_SECTIONS = [
+    ("scenario", scenario_from_config, {"scenario": 3}),
+    ("scenario.plant", scenario_from_config, {"scenario": {"plant": 3}}),
+    ("scenario.relay", scenario_from_config, {"scenario": {"relay": [1.0]}}),
+    ("solver", solver_from_config, {"solver": "constant"}),
+    ("problem", problem_dims_from_config, {"problem": [60, 20, 8]}),
+    ("cells[0].solver", cells_from_config, {"cells": [{"name": "a", "solver": [1]}]}),
+]
+
+
+@pytest.mark.parametrize("label, parse, cfg", BAD_SECTIONS, ids=[c[0] for c in BAD_SECTIONS])
+def test_bad_section_named_by_path(label, parse, cfg):
+    with pytest.raises(ConfigError) as info:
+        parse(cfg)
+    assert str(info.value) == f"section {label} must be an object"
 
 
 def field_names(*types):

@@ -1,5 +1,6 @@
 """Relay-feedback benchmark simulation and Monte Carlo harness tests."""
 
+import copy
 import subprocess
 import sys
 import warnings
@@ -29,7 +30,7 @@ from rcadmm.simulate import (
     simulate_relay,
     true_impulse_response,
 )
-from rcadmm.admm import initial_state
+from rcadmm.admm import REPORT_FIELDS, initial_state
 
 
 SRC = str(Path(rcadmm.__file__).parents[1])
@@ -402,9 +403,16 @@ class TestMonteCarlo:
         avg = out.cells["constant"]
         assert avg.runs == 3
         assert avg.failures == 0
-        assert avg.iterations[0] == 1
+        assert avg.sums.shape == (len(REPORT_FIELDS), 11)
         assert np.all(avg.counts == 3.0)
         assert np.all(np.isfinite(avg.primal_sq))
+
+    def test_means_read_by_figure_name(self):
+        avg = monte_carlo(tiny_scenario(), tiny_cells(), runs=2, **TINY).cells["constant"]
+        for i, name in enumerate(REPORT_FIELDS):
+            np.testing.assert_array_equal(getattr(avg, name), avg.sums[i] / avg.counts)
+        assert not hasattr(avg, "nope")
+        np.testing.assert_array_equal(copy.deepcopy(avg).primal_sq, avg.primal_sq)
 
     def test_run_matches_direct_solve(self):
         cells = tiny_cells()
@@ -518,6 +526,17 @@ class TestMonteCarlo:
         assert workers == [min(jobs, runs)]
         serial = monte_carlo(tiny_scenario(), tiny_cells(), runs=runs, **TINY)
         assert pooled.summaries == serial.summaries
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            monte_carlo(tiny_scenario(), tiny_cells(), runs=2, jobs=jobs, **TINY)
 
     def test_negative_base_seed_rejected(self):
         # numpy's generator would reject seed -1 later, without naming the key.

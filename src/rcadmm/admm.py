@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .hankel import ScaledSvd, truncated_svd_projection
-from .problem import KernelConfig, RcpProblem, kernel_initialize
+from .problem import RcpProblem, kernel_initialize
 
 
 @dataclass
@@ -66,18 +66,14 @@ def _check_beta(beta: float):
         raise ValueError(f"penalty must be positive, got beta={beta}")
 
 
-def initial_state(
-    problem: RcpProblem,
-    theta0: np.ndarray | None = None,
-    kernel: KernelConfig | None = None,
-) -> InitialState:
+def initial_state(problem: RcpProblem, theta0: np.ndarray | None = None) -> InitialState:
     """Feasibility-oriented start: Z from the truncated Hankel of theta0,
     e from the data misfit, zero duals.
 
     theta0 defaults to the kernel-regularized estimate.
     """
     if theta0 is None:
-        theta0 = kernel_initialize(problem.data, problem.l, kernel)
+        theta0 = kernel_initialize(problem.data, problem.l)
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (problem.l,):
         raise ValueError(f"theta0 must have length {problem.l}, got {theta0.shape}")

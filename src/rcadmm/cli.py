@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .admm import REPORT_FIELDS, initial_state
+from .admm import REPORT_FIELDS
 from .driver import solve
 from .errors import ConfigError
 from .problem import assemble_problem
@@ -53,7 +53,7 @@ def cmd_solve(args):
     sim = simulate_relay(scenario)
     problem = assemble_problem(sim.data, l=l, n=n, r=r)
     start = time.perf_counter()
-    result = solve(problem, config, init=initial_state(problem))
+    result = solve(problem, config)
     wall = time.perf_counter() - start
 
     out = _out_dir(args)
@@ -93,25 +93,24 @@ def cmd_bench(args):
     if len(names) != len(cells):
         raise ConfigError("cell names collide after filename sanitization")
 
-    out = _out_dir(args)
     mc = monte_carlo(scenario, cells, l=l, n=n, r=r, jobs=args.jobs, **study)
+    out = _out_dir(args)
 
     report = {}
     for cell in cells:
-        avg = mc.cells[cell.name]
         csv_path = os.path.join(out, f"{_safe_name(cell.name)}_mean.csv")
-        write_averages_csv(csv_path, avg)
+        write_averages_csv(csv_path, mc.cells[cell.name])
         rows = [s for s in mc.summaries if s.cell == cell.name]
         finals = [s.final for s in rows if s.final is not None]
         entry = report[cell.name] = {
-            "runs": avg.runs,
-            "failures": avg.failures,
+            "runs": len(rows),
+            "failures": sum(s.termination == "numeric-failure" for s in rows),
             "mean_theta_error": _finite_mean([s.theta_error for s in rows]),
         }
         for name in REPORT_FIELDS:
             entry[f"mean_final_{name}"] = _finite_mean([f[name] for f in finals])
         print(
-            f"{cell.name}: runs={avg.runs} failures={avg.failures} "
+            f"{cell.name}: runs={entry['runs']} failures={entry['failures']} "
             f"mean final combined={entry['mean_final_combined']}"
         )
     write_json(os.path.join(out, "summary.json"), report)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import ResidualReport, admm_step, initial_state, residuals
-from .penalty import ConstantPenalty, increment_diagnostics, update_penalty
+from .penalty import BETA_MAX, BETA_MIN, ConstantPenalty, increment_diagnostics, update_penalty
 
 # Columns closer than this (relative) to singular get Tikhonov damping.
 DAMP_RTOL = 1e-10
@@ -49,8 +49,8 @@ class DriverConfig:
     acceleration: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.beta0 < np.inf:
-            raise ValueError("beta0 must be positive and finite")
+        if not BETA_MIN <= self.beta0 <= BETA_MAX:
+            raise ValueError(f"beta0 must lie in [{BETA_MIN:g}, {BETA_MAX:g}]")
         if not 0.0 < self.eps_tol < np.inf:
             raise ValueError("eps_tol must be positive and finite")
         if self.k_max < 1:

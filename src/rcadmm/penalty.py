@@ -158,8 +158,8 @@ class MultiplicativePenalty:
     def __post_init__(self):
         if not 1.0 < self.rho < np.inf:
             raise ValueError("rho must exceed 1 and be finite")
-        if not 0.0 < self.beta_max < np.inf:
-            raise ValueError("beta_max must be positive and finite")
+        if not BETA_MIN <= self.beta_max <= BETA_MAX:
+            raise ValueError(f"beta_max must lie in [{BETA_MIN:g}, {BETA_MAX:g}]")
 
     def update(self, beta, residual=None, increment=None):
         return min(self.rho * beta, self.beta_max)

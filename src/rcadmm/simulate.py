@@ -255,11 +255,8 @@ class CellAverages:
     ``sums`` holds the ``REPORT_FIELDS[i]`` figure, and the attribute of
     that name is its mean per iteration."""
 
-    name: str
     sums: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    runs: int = 0
-    failures: int = 0
 
     def __getattr__(self, name):
         # Reached only for names that are not set on the instance.
@@ -274,11 +271,6 @@ class McResult:
     cells: dict
     summaries: list
     traces: dict | None = None
-
-
-def _new_averages(name, horizon):
-    sums = np.zeros((len(REPORT_FIELDS), horizon))
-    return CellAverages(name=name, sums=sums, counts=np.zeros(horizon))
 
 
 def _accumulate(avg, records):
@@ -309,7 +301,7 @@ def _run_cells(scn, cells, base_seed, l, n, r, theta_true, run):
             final=final,
             theta_error=float(np.linalg.norm(result.theta - theta_true)) / scale,
         )
-        out.append((cell.name, summary, result.records))
+        out.append((summary, result.records))
     return out
 
 
@@ -330,9 +322,9 @@ def monte_carlo(
     Run i regenerates data with seed base_seed + i and reuses the same
     problem and initial iterate for every cell, so strategy comparisons
     are paired.  Averages are over accepted records at each iteration
-    index.  ``failures`` counts the runs that ``solve`` ended
-    ``"numeric-failure"``; the rows such a run accepted before it
-    failed still enter the averages.  Any exception propagates.
+    index.  ``summaries`` records how each run ended; the rows that a run
+    accepted before a numeric failure still enter the averages.  Any
+    exception propagates.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -346,7 +338,10 @@ def monte_carlo(
 
     theta_true = true_impulse_response(scn.plant, scn.dt, l)
     horizon = max(cell.config.k_max for cell in cells) + 1
-    averages = {cell.name: _new_averages(cell.name, horizon) for cell in cells}
+    averages = {
+        cell.name: CellAverages(np.zeros((len(REPORT_FIELDS), horizon)), np.zeros(horizon))
+        for cell in cells
+    }
     summaries = []
     traces = {} if keep_traces else None
 
@@ -360,14 +355,10 @@ def monte_carlo(
         batches = [job(run) for run in range(runs)]
 
     for batch in batches:
-        for name, summary, records in batch:
+        for summary, records in batch:
             summaries.append(summary)
-            avg = averages[name]
-            avg.runs += 1
-            if summary.termination == "numeric-failure":
-                avg.failures += 1
-            _accumulate(avg, records)
+            _accumulate(averages[summary.cell], records)
             if traces is not None:
-                traces[(name, summary.run)] = records
+                traces[(summary.cell, summary.run)] = records
 
     return McResult(cells=averages, summaries=summaries, traces=traces)

@@ -122,9 +122,29 @@ class TestSolveCommand:
         assert "Infinity" in (tmp_path / "solve.json").read_text()
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
+        messages = {"beta0": "must lie in [1e-06, 1e+08]", "eps_tol": "must be positive and finite"}
         assert rc == 1
-        assert err.startswith(f"error: invalid solver settings: {key} must be positive and finite")
+        assert err.startswith(f"error: invalid solver settings: {key} {messages[key]}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("beta0", [1e9, 1e-7])
+    def test_beta0_outside_clamp_exits_1(self, tmp_path, capsys, beta0):
+        # Every update clamps to [BETA_MIN, BETA_MAX], so a start outside
+        # it would move at the first update, even under a constant penalty.
+        cfg = solve_config(tmp_path, beta0=beta0)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid solver settings: beta0 must lie in [1e-06, 1e+08]")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", str(tmp_path / "absent.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: cannot read config")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "strategy, key",
@@ -315,6 +335,25 @@ class TestBenchCommand:
         assert rc == 1
         assert "base_seed must be nonnegative" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_zero_runs_exits_1(self, tmp_path, capsys):
+        path = bench_spec(tmp_path, runs=0)
+        rc = main(["bench", "--spec", path, "--jobs", "1", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ValueError: runs must be at least 1")
+        assert not (tmp_path / "x").exists()
+
+    def test_names_colliding_as_file_names_exit_1(self, tmp_path, capsys):
+        spec = json.loads(open(bench_spec(tmp_path)).read())
+        spec["cells"][0]["name"], spec["cells"][1]["name"] = "a b", "a-b"
+        path = write_config(tmp_path / "collide.json", spec)
+        rc = main(["bench", "--spec", path, "--jobs", "1", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: cell names collide after filename sanitization")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
@@ -322,6 +361,7 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ValueError: jobs must be at least 1")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("name", [["a"], None])
     def test_cell_name_must_be_string(self, tmp_path, capsys, name):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,30 @@ class TestSolve:
         np.testing.assert_array_equal(result.theta, bad.theta)
         assert result.final is None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("acceleration", [True, False])
+    def test_non_finite_residual_ends_numeric_failure(self, loop_spy, acceleration):
+        # The first sweep completes, but its dual residual overflows: the
+        # run ends on the non-finite combined residual, not on LinAlgError.
+        prob = small_problem(0)
+        xi = np.random.default_rng(0).standard_normal(prob.l)
+        start = replace(initial_state(prob), theta=1e150 * xi)
+        config = DriverConfig(beta0=1e8, k_max=20, acceleration=acceleration)
+        result = solve(prob, config, init=start)
+        assert result.termination == "numeric-failure"
+        assert len(loop_spy) == 1
+        assert result.iterations == 0
+        assert result.final is None
+        np.testing.assert_array_equal(result.theta, start.theta)
+        if acceleration:
+            # The guard rejects the inf row; the recorded point is the start.
+            assert [(rec.accepted, rec.combined) for rec in result.records] == [
+                (False, float("inf"))
+            ]
+        else:
+            assert result.records == []
+
     @pytest.mark.parametrize("acceleration", [True, False])
     def test_nan_start_ends_numeric_failure(self, acceleration):
         # LAPACK's SVD does not converge on the first sweep from a NaN
@@ -466,6 +492,11 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DriverConfig(beta0=0.0)
+        for beta0 in (1e9, 1e-7):
+            with pytest.raises(ValueError, match=r"beta0 must lie in \[1e-06, 1e\+08\]"):
+                DriverConfig(beta0=beta0)
+        DriverConfig(beta0=1e8)
+        DriverConfig(beta0=1e-6)
         with pytest.raises(ValueError):
             DriverConfig(eps_tol=0.0)
         with pytest.raises(ValueError):

@@ -147,6 +147,10 @@ class TestUpdateRules:
             MultiplicativePenalty(rho=1.0)
         with pytest.raises(ValueError):
             MultiplicativePenalty(beta_max=0.0)
+        for beta_max in (1e9, 1e-7):
+            with pytest.raises(ValueError, match=r"beta_max must lie in \[1e-06, 1e\+08\]"):
+                MultiplicativePenalty(beta_max=beta_max)
+        assert MultiplicativePenalty(beta_max=1e8).beta_max == 1e8
         with pytest.raises(ValueError):
             ResidualBasedPenalty(kappa=1.0)
         with pytest.raises(ValueError):

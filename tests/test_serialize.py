@@ -66,7 +66,6 @@ def sample_records():
 
 def sample_averages():
     return CellAverages(
-        name="x",
         sums=np.array(
             [
                 [2.0, 4.0, 0.0, 0.5],

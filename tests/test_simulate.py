@@ -136,7 +136,8 @@ problem = assemble_problem(simulate_relay(scn).data, l=8, n=3, r=2)
 config = DriverConfig(strategy=SelfAdaptivePenalty(), eps_tol=1e-300, k_max=10)
 result = solve(problem, config, init=initial_state(problem))
 mc = monte_carlo(scn, [ExperimentCell("sa-aa", config)], 2, l=8, n=3, r=2)
-print(result.termination, mc.cells["sa-aa"].runs, mc.cells["sa-aa"].failures)
+failures = sum(s.termination == "numeric-failure" for s in mc.summaries)
+print(result.termination, len(mc.summaries), failures)
 """
         run = subprocess.run(
             [sys.executable, "-c", code, SRC], capture_output=True, text=True, check=True
@@ -400,9 +401,10 @@ class TestMonteCarlo:
         out = monte_carlo(tiny_scenario(), tiny_cells(), runs=3, **TINY)
         assert set(out.cells) == {"constant", "self-adaptive"}
         assert len(out.summaries) == 6
+        rows = [s for s in out.summaries if s.cell == "constant"]
+        assert [s.run for s in rows] == [0, 1, 2]
+        assert all(s.termination == "max_iterations" for s in rows)
         avg = out.cells["constant"]
-        assert avg.runs == 3
-        assert avg.failures == 0
         assert avg.sums.shape == (len(REPORT_FIELDS), 11)
         assert np.all(avg.counts == 3.0)
         assert np.all(np.isfinite(avg.primal_sq))
@@ -484,7 +486,8 @@ class TestMonteCarlo:
                 assert summary.termination == "max_iterations"
                 assert np.isfinite(summary.theta_error)
         for name, avg in out.cells.items():
-            assert (avg.runs, avg.failures) == (2, 1)
+            rows = [s for s in out.summaries if s.cell == name]
+            assert [s.termination for s in rows] == ["numeric-failure", "max_iterations"]
             assert out.traces[(name, 0)] == []
             # The failed run adds no row, so each mean is run 1's trace.
             kept = [rec for rec in out.traces[(name, 1)] if rec.accepted]
@@ -537,6 +540,16 @@ class TestMonteCarlo:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             monte_carlo(tiny_scenario(), tiny_cells(), runs=2, jobs=jobs, **TINY)
+
+    def test_zero_runs_rejected(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="runs must be at least 1"):
+            monte_carlo(tiny_scenario(), tiny_cells(), runs=0, jobs=2, **TINY)
 
     def test_negative_base_seed_rejected(self):
         # numpy's generator would reject seed -1 later, without naming the key.
